@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import BlochVector
+from .bloch import ATOL, BlochVector
 from .dilation import (
     extension_audit,
     one_to_one_feasibility,
@@ -25,8 +25,6 @@ from .dilation import (
 from .hv import simulate_povm
 from .ks import ContextHypergraph, enumerate_assignments, parse_hypergraph
 from .povm import PovmFamily, cabello_family, check_completeness, nakamura_family
-
-TOLERANCE = 1e-12
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -123,9 +121,9 @@ def cmd_check(args) -> int:
         for label, element in family.elements.items()
     ]
     passed = (
-        all(row["residual"] <= TOLERANCE for row in completeness)
+        all(row["residual"] <= ATOL for row in completeness)
         and all(row["count"] == 2 for row in incidence)
-        and all(row["min_eigenvalue"] >= -TOLERANCE for row in psd)
+        and all(row["min_eigenvalue"] >= -ATOL for row in psd)
     )
     payload = {
         "config": config,
@@ -157,7 +155,10 @@ def cmd_ks_search(args) -> int:
             hypergraph = parse_hypergraph(Path(args.hypergraph).read_text())
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot parse hypergraph: {exc}") from exc
-    verdict = enumerate_assignments(hypergraph, workers=args.workers)
+    try:
+        verdict = enumerate_assignments(hypergraph, workers=args.workers)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit_json({"config": config, "verdict": verdict.to_dict()}, args.out)
     return EXIT_OK if verdict.colorable else EXIT_IMPOSSIBLE
 
@@ -208,7 +209,7 @@ def cmd_dilate(args) -> int:
     reports = [
         verify_dilation(sequential_dilation(family, i), family, i) for i in indices
     ]
-    passed = all(report.passed(TOLERANCE) for report in reports)
+    passed = all(report.passed(ATOL) for report in reports)
     payload = {
         "config": config,
         "family": family.name,
@@ -255,7 +256,7 @@ def cmd_feasibility(args) -> int:
     return EXIT_IMPOSSIBLE
 
 
-def _add_common(parser, model_required=True, formats=True, workers=False):
+def _add_common(parser, model_required=True, formats=True, workers_help=None):
     parser.add_argument(
         "--model", choices=["nakamura", "cabello"], required=model_required,
         help="built-in measurement family",
@@ -263,11 +264,8 @@ def _add_common(parser, model_required=True, formats=True, workers=False):
     if formats:
         parser.add_argument("--format", choices=["json", "csv"], default="json")
         parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
-    if workers:
-        parser.add_argument(
-            "--workers", type=int, default=1,
-            help="parallel workers; never changes the output",
-        )
+    if workers_help:
+        parser.add_argument("--workers", type=int, default=1, help=workers_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family JSON to check instead of a built-in model ('-' reads stdin)")
     p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("ks-search", help="exhaustive 0/1 assignment search")
-    _add_common(p, model_required=False, workers=True)
+    p = sub.add_parser("ks-search", help="count and find valid 0/1 assignments (exact cover)")
+    _add_common(p, model_required=False, workers_help="accepted for compatibility; has no effect")
     p.add_argument("--hypergraph", metavar="PATH", default=None,
                    help="hypergraph text file (one context per line, comma-separated labels)")
     p.set_defaults(handler=cmd_ks_search)
 
     p = sub.add_parser("simulate", help="hidden-variable Monte Carlo vs Born statistics")
-    _add_common(p, workers=True)
+    _add_common(p, workers_help="parallel workers; never changes the output")
     p.add_argument("--context", type=int, required=True, help="context number, 1-based")
     p.add_argument("--state", default="0,0,1", help="system direction x,y,z (normalized on ingest)")
     p.add_argument("--samples", type=int, default=1_000_000)

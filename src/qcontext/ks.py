@@ -1,22 +1,21 @@
 """Noncontextual 0/1-colorability of element-context hypergraphs.
 
 An assignment is valid when every context contains exactly one element valued
-1. Both deciders live here: the exhaustive scan over all 2^n assignments and
-the counting (parity) obstruction that explains why the two measurement
-families admit none.
+1, so the 1-valued elements of a valid assignment are an exact cover of the
+contexts. Both deciders live here: an exact-cover search (Knuth's Algorithm
+X, memoised on the covered contexts) that counts the valid assignments and
+finds the least one, and the counting (parity) obstruction that explains why
+the two measurement families admit none.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-#: Exhaustive-search ceiling; 2^30 is the practical desk-scale bound.
-MAX_ELEMENTS = 30
-
-_CHUNK_BITS = 18
+#: Search-node budget of one enumerate_assignments call. Counting exact
+#: covers is exponential in the worst case; past this many expanded nodes the
+#: search gives up with ValueError rather than run without bound.
+SEARCH_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -98,61 +97,98 @@ def parity_obstruction(h: ContextHypergraph) -> ParityObstruction | None:
     return ParityObstruction(context_count=len(h.contexts), incidence_multiplicity=2)
 
 
-def _scan_chunk(args) -> tuple[int, int | None]:
-    """Count valid assignments in [start, stop); return (count, first valid or None).
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first, each as its own power of two."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
-    Assignments are integers whose bit (n-1-j) is the value of the j-th label
-    in sorted order, so integer order is lexicographic order over assignments.
-    Validity per context: the masked bits form a power of two (exactly one 1).
+
+def _exact_covers(masks: list[int]) -> tuple[int, int | None]:
+    """(number of exact covers, least cover or None) of the context bitmasks.
+
+    ``masks[i]`` has one bit per element of context i, and a cover is the OR
+    of its elements. This is Knuth's Algorithm X on the bitmask of covered
+    contexts. It branches on the uncovered context with the fewest elements
+    still allowed (those in no covered context) and memoises on the covered
+    mask. It runs on an explicit stack, so its depth, at most one level per
+    context, is not bounded by the interpreter's recursion limit. Every cover
+    holds exactly one element of the branching context, so counts add over
+    those elements, and the least cover is the least of element | least
+    cover of what is left. Raises ValueError after SEARCH_LIMIT nodes.
     """
-    masks, start, stop = args
-    arr = np.arange(start, stop, dtype=np.uint64)
-    ok = np.ones(arr.shape, dtype=bool)
-    one = np.uint64(1)
-    for mask in masks:
-        masked = arr & np.uint64(mask)
-        ok &= (masked != 0) & ((masked & (masked - one)) == 0)
-    count = int(np.count_nonzero(ok))
-    first = start + int(np.argmax(ok)) if count else None
-    return count, first
+    holders: dict[int, int] = {}  # element -> contexts it covers
+    kills: dict[int, int] = {}  # element -> elements it rules out
+    for i, mask in enumerate(masks):
+        for element in _bits(mask):
+            holders[element] = holders.get(element, 0) | 1 << i
+            kills[element] = kills.get(element, 0) | mask
+    memo = {(1 << len(masks)) - 1: (1, 0)}
+    branches: dict[int, int] = {}  # expanded, unfinished node -> its branch
+    nodes = 0
+    stack = [(0, -1)]  # (covered contexts, allowed elements)
+    while stack:
+        covered, allowed = stack[-1]
+        if covered in memo:
+            stack.pop()
+        elif covered not in branches:
+            nodes += 1
+            if nodes > SEARCH_LIMIT:
+                raise ValueError(
+                    f"search limit: more than {SEARCH_LIMIT} search nodes "
+                    f"for {len(masks)} contexts"
+                )
+            best, best_size = 0, len(holders) + 1
+            for i, mask in enumerate(masks):
+                if not covered >> i & 1:
+                    fits = mask & allowed
+                    size = fits.bit_count()
+                    if size < best_size:
+                        best, best_size = fits, size
+                        if size < 2:
+                            break
+            branches[covered] = best
+            stack.extend((covered | holders[e], allowed & ~kills[e]) for e in _bits(best))
+        else:
+            count, least = 0, None
+            for element in _bits(branches.pop(covered)):
+                sub_count, sub_least = memo[covered | holders[element]]
+                if sub_count:
+                    count += sub_count
+                    if least is None or element | sub_least < least:
+                        least = element | sub_least
+            memo[covered] = (count, least)
+            stack.pop()
+    return memo[0]
 
 
 def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> ColorabilityVerdict:
-    """Exhaustively scan all 2^n assignments of the hypergraph.
+    """Count the valid assignments of the hypergraph and find the least one.
 
-    The scan shards the assignment space into fixed chunks; counts merge
-    additively and the reported witness is the lexicographically smallest over
-    element labels in sorted order, so the result does not depend on the
-    worker count. Raises ValueError above the MAX_ELEMENTS ceiling.
+    A valid assignment is an exact cover of the contexts by its 1-valued
+    elements, with elements in no context free either way, so the count is
+    (number of exact covers) * 2^(elements in no context). The witness is the
+    lexicographically smallest valid assignment over element labels in
+    sorted order. ``workers`` is accepted for compatibility and has no
+    effect. Raises ValueError when the search exceeds SEARCH_LIMIT nodes.
     """
     n = len(h.elements)
-    if n > MAX_ELEMENTS:
-        raise ValueError(f"size limit: {n} elements exceeds the 2^{MAX_ELEMENTS} bound")
-
-    order = sorted(h.elements)
-    bit = {label: n - 1 - j for j, label in enumerate(order)}
-    masks = tuple(sum(1 << bit[label] for label in context) for context in h.contexts)
-
-    total = 1 << n
-    chunk = 1 << min(n, _CHUNK_BITS)
-    tasks = [(masks, start, min(start + chunk, total)) for start in range(0, total, chunk)]
-
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, tasks))
-    else:
-        results = [_scan_chunk(task) for task in tasks]
-
-    valid_count = sum(count for count, _ in results)
-    first = next((f for _, f in results if f is not None), None)
+    # Bit (n-1-j) holds the j-th label in sorted order, so integer order is
+    # lexicographic order over assignments.
+    bit = {label: 1 << (n - 1 - j) for j, label in enumerate(sorted(h.elements))}
+    masks = [sum(bit[label] for label in context) for context in h.contexts]
+    covers, least = _exact_covers(masks)
+    free = n - len({label for context in h.contexts for label in context})
+    valid_count = covers << free
     witness = None
-    if first is not None:
-        witness = {label: (first >> bit[label]) & 1 for label in order}
+    if covers:
+        witness = {label: int(least & b != 0) for label, b in bit.items()}
 
     return ColorabilityVerdict(
         colorable=valid_count > 0,
         valid_count=valid_count,
-        total_assignments=total,
+        total_assignments=1 << n,
         witness=witness,
         obstruction=parity_obstruction(h),
     )

@@ -107,6 +107,29 @@ class TestKsSearch:
         assert doc["verdict"]["colorable"] is True
         assert doc["verdict"]["witness"] == {"a": 0, "b": 1}
 
+    def test_large_file(self, capsys, tmp_path):
+        # 37 disjoint triples (111 labels) plus three repeated: 40 contexts
+        # and 3^37 valid assignments, far past the size a 2^n scan can take.
+        triples = [",".join(f"t{i:02d}{j}" for j in "abc") for i in range(37)]
+        path = tmp_path / "h.txt"
+        path.write_text("\n".join(triples + triples[:3]) + "\n")
+        code, doc = run_json(capsys, "ks-search", "--hypergraph", str(path))
+        assert code == 0
+        jsonschema.validate(doc, load_schema("ks"))
+        assert doc["verdict"]["valid_count"] == 3**37
+        assert doc["verdict"]["total_assignments"] == 2**111
+
+    def test_search_limit_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("qcontext.ks.SEARCH_LIMIT", 1)
+        path = tmp_path / "h.txt"
+        path.write_text("a,b\nb,c\nc,a\n")
+        code = main(["ks-search", "--hypergraph", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qcontext: error: search limit: ")
+
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("a,,b\n")
