@@ -15,7 +15,6 @@ from .bloch import (
     hexagon_vertices,
     inscribed_cubes,
     projector_from_bloch,
-    state_from_bloch,
 )
 from .dilation import (
     AuditEntry,
@@ -100,7 +99,6 @@ __all__ = [
     "sequential_dilation",
     "shuffle_identity_check",
     "simulate_povm",
-    "state_from_bloch",
     "validate_certificate",
     "verify_dilation",
 ]

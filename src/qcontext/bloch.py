@@ -11,6 +11,10 @@ import numpy as np
 #: Tolerance for closed-form algebraic identities in double precision.
 ATOL = 1e-12
 
+#: Dot-product tolerance for finding antipodes and cubes: ``inscribed_cubes``
+#: takes caller vertex sets, whose vectors are unit only to ``ATOL``.
+STRUCTURE_TOL = 1e-9
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -19,12 +23,18 @@ IDENTITY2 = np.eye(2, dtype=complex)
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
+def _require_finite(x: float, y: float, z: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"invalid direction: non-finite component in ({x!r}, {y!r}, {z!r})")
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Unit 3-vector on the Bloch sphere.
 
-    Construction rejects non-unit input (|x^2+y^2+z^2 - 1| > 1e-12); use
-    ``BlochVector.normalized`` to build one from an arbitrary direction.
+    Construction rejects non-finite components and non-unit input
+    (|x^2+y^2+z^2 - 1| > 1e-12); use ``BlochVector.normalized`` to build
+    one from an arbitrary direction.
     """
 
     x: float
@@ -32,13 +42,16 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
+        _require_finite(self.x, self.y, self.z)
         norm_sq = self.x * self.x + self.y * self.y + self.z * self.z
         if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"invalid direction: not a unit vector, |v|^2 = {norm_sq!r}")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "BlochVector":
-        norm = math.sqrt(x * x + y * y + z * z)
+        _require_finite(x, y, z)
+        # hypot scales internally: tiny components do not underflow to zero.
+        norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise ValueError("invalid direction: cannot normalize the zero vector")
         return cls(x / norm, y / norm, z / norm)
@@ -68,11 +81,6 @@ def projector_from_bloch(v: BlochVector) -> np.ndarray:
     orthogonal complement.
     """
     return (IDENTITY2 + v.x * SIGMA_X + v.y * SIGMA_Y + v.z * SIGMA_Z) / 2
-
-
-def state_from_bloch(n: BlochVector) -> np.ndarray:
-    """Pure-state density operator (I + n.sigma)/2 for Bloch direction n."""
-    return projector_from_bloch(n)
 
 
 def is_hermitian(op: np.ndarray, atol: float = ATOL) -> bool:
@@ -130,7 +138,7 @@ def _antipodal_pairs(coords: np.ndarray) -> list[tuple[int, int]]:
     dots = coords @ coords.T
     pairs = []
     for i in range(n):
-        opposite = [j for j in range(n) if abs(dots[i, j] + 1.0) <= 1e-9]
+        opposite = [j for j in range(n) if abs(dots[i, j] + 1.0) <= STRUCTURE_TOL]
         if len(opposite) != 1:
             raise ValueError("structure not found: vertex without a unique antipode")
         if i < opposite[0]:
@@ -150,9 +158,9 @@ def _find_cubes(coords: np.ndarray) -> list[tuple[int, ...]]:
     anti = {i: int(np.argmin(dots[i])) for i in range(n)}
     cubes: set[tuple[int, ...]] = set()
     for i in range(n):
-        neighbours = [j for j in range(n) if abs(dots[i, j] - 1 / 3) <= 1e-9]
+        neighbours = [j for j in range(n) if abs(dots[i, j] - 1 / 3) <= STRUCTURE_TOL]
         for triple in itertools.combinations(neighbours, 3):
-            if all(abs(dots[a, b] + 1 / 3) <= 1e-9 for a, b in itertools.combinations(triple, 2)):
+            if all(abs(dots[a, b] + 1 / 3) <= STRUCTURE_TOL for a, b in itertools.combinations(triple, 2)):
                 members = set()
                 for j in (i, *triple):
                     members.update((j, anti[j]))

@@ -166,6 +166,8 @@ def cmd_ks_search(args) -> int:
 def cmd_simulate(args) -> int:
     if args.samples < 1:
         raise UsageError(f"samples must be >= 1, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     family = _load_model(args.model)
     context = _context_index(family, args.context)
     state = _parse_state(args.state)

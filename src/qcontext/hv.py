@@ -4,6 +4,9 @@ A sample carries a discrete ancilla value (which antipodal pair fires) and a
 uniform Bloch-sphere vector m driving the sphere-model outcome rule: projector
 V along v takes value 1 exactly when (m + n).v > 0 for system direction n.
 Monte Carlo aggregation checks the model against Born-rule statistics.
+
+One kernel, ``_povm_shard``, samples a context of N pairs; the Bell marginal
+is its one-pair case. One runner, ``_sample``, shards and merges the counts.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bloch import BlochVector, state_from_bloch
+from .bloch import BlochVector, projector_from_bloch
 from .povm import PovmFamily, born_probability
 
 #: Fixed Monte Carlo shard size; substreams derive from (seed, shard index)
@@ -62,54 +65,56 @@ def bell_outcome(m: BlochVector, n: BlochVector, v: BlochVector) -> int:
     return 1 if s > 0 else 0
 
 
-def _shard_plan(samples: int) -> list[int]:
-    counts = []
-    remaining = samples
-    while remaining > 0:
-        counts.append(min(SHARD_SIZE, remaining))
-        remaining -= SHARD_SIZE
-    return counts
-
-
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,)))
 
 
-def _marginal_shard(args) -> int:
-    n_arr, v_arr, seed, shard_index, count = args
+def _povm_shard(args) -> tuple[np.ndarray, int]:
+    """Counts of slot k's "+" (index 2k) and "-" (2k + 1) elements, and boundary hits."""
+    plus_dirs, n_arr, seed, shard_index, count = args
+    n_slots = len(plus_dirs)
     rng = _shard_rng(seed, shard_index)
-    m = _unit_sphere(rng, count)
-    return int(np.count_nonzero((m + n_arr) @ v_arr > 0))
+    # integers(0, 1, ...) draws nothing, so a one-slot shard samples m alone.
+    lams = rng.integers(0, n_slots, size=count)
+    g = _unit_sphere(rng, count) + n_arr
+    # One matrix-vector product per slot: a gemm against plus_dirs.T would
+    # start BLAS threads inside every pool worker and oversubscribe the cores.
+    signed = np.choose(lams, [g @ d for d in plus_dirs])
+    # Outcome 1 picks the "+" element of the slot pair; the boundary counts as 0.
+    element_index = 2 * lams + (signed <= 0)
+    counts = np.bincount(element_index, minlength=2 * n_slots)
+    return counts, int(np.count_nonzero(signed == 0))
+
+
+def _sample(
+    plus_dirs: np.ndarray, n: BlochVector, samples: int, seed: int, workers: int
+) -> tuple[np.ndarray, int]:
+    """Merged shard counts; shard k draws from substream (seed, k) alone, so
+    the counts are the same for any worker count."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    n_arr = n.as_array()
+    tasks = [
+        (plus_dirs, n_arr, seed, k, min(SHARD_SIZE, samples - start))
+        for k, start in enumerate(range(0, samples, SHARD_SIZE))
+    ]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_povm_shard, tasks))
+    else:
+        results = [_povm_shard(task) for task in tasks]
+    return sum(counts for counts, _ in results), sum(boundary for _, boundary in results)
 
 
 def bell_marginal_estimate(
     n: BlochVector, v: BlochVector, samples: int, seed: int, workers: int = 1
 ) -> float:
-    """Monte Carlo estimate of P(outcome = 1); converges to (1 + n.v)/2."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    tasks = [
-        (n.as_array(), v.as_array(), seed, k, count)
-        for k, count in enumerate(_shard_plan(samples))
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_marginal_shard, tasks))
-    else:
-        hits = sum(_marginal_shard(task) for task in tasks)
-    return hits / samples
+    """Monte Carlo estimate of P(outcome = 1); converges to (1 + n.v)/2.
 
-
-def _povm_shard(args) -> tuple[np.ndarray, int]:
-    plus_dirs, n_arr, n_slots, seed, shard_index, count = args
-    rng = _shard_rng(seed, shard_index)
-    lams = rng.integers(0, n_slots, size=count)
-    m = _unit_sphere(rng, count)
-    signed = np.einsum("ij,ij->i", m + n_arr, plus_dirs[lams])
-    # Outcome 1 picks the "+" element of the slot pair; the boundary counts as 0.
-    element_index = 2 * lams + (signed <= 0)
-    counts = np.bincount(element_index, minlength=2 * n_slots)
-    return counts, int(np.count_nonzero(signed == 0))
+    The one-pair case of the context sampler: a single slot with "+" along v.
+    """
+    counts, _ = _sample(v.as_array()[None, :], n, samples, seed, workers)
+    return int(counts[0]) / samples
 
 
 @dataclass(frozen=True)
@@ -187,32 +192,15 @@ def simulate_povm(
     direction selects the sign. Counts merge over fixed-size shards, making
     the report deterministic in (inputs, seed) for any worker count.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     pairs = family.context_pairs(context_index)
-    n_slots = len(pairs)
-    if n_slots not in _VALID_SLOT_COUNTS:
-        raise ValueError(f"invalid context: {n_slots} pairs, expected one of {_VALID_SLOT_COUNTS}")
+    if len(pairs) not in _VALID_SLOT_COUNTS:
+        raise ValueError(f"invalid context: {len(pairs)} pairs, expected one of {_VALID_SLOT_COUNTS}")
 
     plus_dirs = np.array([family.elements[plus].direction.as_array() for plus, _ in pairs])
-    tasks = [
-        (plus_dirs, n.as_array(), n_slots, seed, k, count)
-        for k, count in enumerate(_shard_plan(samples))
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_povm_shard, tasks))
-    else:
-        results = [_povm_shard(task) for task in tasks]
-
-    counts = np.zeros(2 * n_slots, dtype=np.int64)
-    boundary = 0
-    for shard_counts, shard_boundary in results:
-        counts += shard_counts
-        boundary += shard_boundary
+    counts, boundary = _sample(plus_dirs, n, samples, seed, workers)
 
     labels = family.contexts[context_index]
-    state = state_from_bloch(n)
+    state = projector_from_bloch(n)
     born = tuple(born_probability(state, family.elements[label]) for label in labels)
     frequencies = tuple(int(c) / samples for c in counts)
     z_scores = tuple(

@@ -12,7 +12,6 @@ from qcontext import (
     hexagon_vertices,
     inscribed_cubes,
     projector_from_bloch,
-    state_from_bloch,
 )
 from qcontext.bloch import is_density_operator, is_hermitian, is_projector
 
@@ -33,6 +32,22 @@ class TestBlochVector:
     def test_rejects_zero_normalization(self):
         with pytest.raises(ValueError, match="zero"):
             BlochVector.normalized(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_rejects_non_finite(self, bad, axis):
+        components = [0.0, 0.0, 1.0]
+        components[axis] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BlochVector(*components)
+        with pytest.raises(ValueError, match="non-finite"):
+            BlochVector.normalized(*components)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-310, 1e200, 1e300])
+    def test_normalizes_extreme_magnitudes(self, scale):
+        assert BlochVector.normalized(scale, 0.0, 0.0) == BlochVector(1.0, 0.0, 0.0)
+        v = BlochVector.normalized(scale, -scale, scale)
+        assert v.x == -v.y == v.z == pytest.approx(1 / math.sqrt(3), abs=ATOL)
 
     def test_antipode_is_valid_and_negates(self):
         v = BlochVector.normalized(1, 2, 3)
@@ -65,26 +80,26 @@ class TestProjectors:
 
     @given(unit_vectors, unit_vectors)
     def test_overlap_formula(self, n, v):
-        rho = state_from_bloch(n)
+        rho = projector_from_bloch(n)
         p = projector_from_bloch(v)
         overlap = np.trace(rho @ p).real
         assert overlap == pytest.approx((1 + n.dot(v)) / 2, abs=1e-10)
 
     def test_state_on_own_projector(self):
         n = BlochVector.normalized(1, 1, 1)
-        assert np.trace(state_from_bloch(n) @ projector_from_bloch(n)).real == pytest.approx(
+        assert np.trace(projector_from_bloch(n) @ projector_from_bloch(n)).real == pytest.approx(
             1.0, abs=ATOL
         )
 
     def test_orthogonal_directions_give_half(self):
-        rho = state_from_bloch(BlochVector(0, 0, 1))
+        rho = projector_from_bloch(BlochVector(0, 0, 1))
         p = projector_from_bloch(BlochVector(1, 0, 0))
         assert np.trace(rho @ p).real == pytest.approx(0.5, abs=ATOL)
 
     @given(unit_vectors)
     def test_state_is_density(self, n):
-        assert is_density_operator(state_from_bloch(n))
-        assert is_hermitian(state_from_bloch(n))
+        assert is_density_operator(projector_from_bloch(n))
+        assert is_hermitian(projector_from_bloch(n))
 
 
 class TestDodecahedron:

@@ -170,6 +170,15 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        code = main(["simulate", "--model", "nakamura", "--context", "1",
+                     "--samples", "10", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("qcontext: error: seed")
+        assert len(captured.err.splitlines()) == 1
+
     def test_bad_context_exits_2(self, capsys):
         code, _ = run_cli(
             capsys, "simulate", "--model", "nakamura", "--context", "4", "--samples", "10"
@@ -177,11 +186,17 @@ class TestSimulate:
         assert code == 2
 
     def test_zero_state_exits_2(self, capsys):
-        code, _ = run_cli(
-            capsys, "simulate", "--model", "nakamura", "--context", "1",
-            "--state", "0,0,0", "--samples", "10",
-        )
+        self.test_invalid_state_exits_2(capsys, "0,0,0")
+
+    @pytest.mark.parametrize("state", ["0,0,0", "nan,0,1", "inf,0,1"])
+    def test_invalid_state_exits_2(self, capsys, state):
+        code = main(["simulate", "--model", "nakamura", "--context", "1",
+                     f"--state={state}", "--samples", "10"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("qcontext: error: invalid direction")
+        assert len(captured.err.splitlines()) == 1
 
     def test_csv_output(self, capsys):
         code, out = run_cli(

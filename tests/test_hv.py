@@ -172,6 +172,35 @@ class TestSimulatePovm:
         assert float(z) == report.z_scores[0]
 
 
+class TestPinnedReports:
+    """Literal reports that any change to the sampling kernel must reproduce.
+
+    Every case spans more than one shard. A kernel change that alters these
+    values breaks the seed-to-report contract and must say so.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cabello_counts(self, cabello, workers):
+        n = BlochVector.normalized(0.3, -0.4, 0.8)
+        report = simulate_povm(cabello, 2, n, 300_000, seed=2024, workers=workers)
+        assert report.labels == ("B+", "B-", "D+", "D-", "F+", "F-", "J+", "J-")
+        assert report.counts == (37346, 37372, 2111, 72959, 53681, 21165, 56917, 18449)
+        assert report.boundary_count == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nakamura_counts(self, nakamura, workers):
+        n = BlochVector.normalized(-0.5, 0.2, 0.7)
+        report = simulate_povm(nakamura, 1, n, 270_000, seed=77, workers=workers)
+        assert report.labels == ("A+", "A-", "C+", "C-")
+        assert report.counts == (120817, 13908, 7657, 127618)
+        assert report.boundary_count == 0
+
+    def test_bell_marginal(self):
+        n = BlochVector.normalized(0.1, 0.9, -0.3)
+        v = BlochVector.normalized(-0.6, 0.2, 0.4)
+        assert bell_marginal_estimate(n, v, 400_001, seed=5) == 0.49989625025937434
+
+
 class TestNoncontextualValueMap:
     def test_exactly_one_per_context(self, nakamura, cabello):
         rng = np.random.default_rng(6)

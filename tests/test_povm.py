@@ -13,7 +13,7 @@ from qcontext import (
     cabello_family,
     check_completeness,
     nakamura_family,
-    state_from_bloch,
+    projector_from_bloch,
 )
 
 ATOL = 1e-12
@@ -114,18 +114,18 @@ class TestCompleteness:
 
 class TestBornProbability:
     def test_aligned_nakamura_element(self, nakamura):
-        state = state_from_bloch(BlochVector(0, 0, 1))
+        state = projector_from_bloch(BlochVector(0, 0, 1))
         assert born_probability(state, nakamura.elements["A+"]) == pytest.approx(0.5, abs=ATOL)
 
     def test_antipodal_nakamura_element(self, nakamura):
-        state = state_from_bloch(BlochVector(0, 0, 1))
+        state = projector_from_bloch(BlochVector(0, 0, 1))
         assert born_probability(state, nakamura.elements["A-"]) == pytest.approx(0.0, abs=ATOL)
 
     def test_orthogonal_cabello_element(self, cabello):
         v = cabello.elements["A+"].direction.as_array()
         perp = np.cross(v, [0.0, 0.0, 1.0])
         n = BlochVector.normalized(*perp)
-        state = state_from_bloch(n)
+        state = projector_from_bloch(n)
         assert born_probability(state, cabello.elements["A+"]) == pytest.approx(1 / 8, abs=ATOL)
 
     def test_invalid_state_rejected(self, nakamura):
@@ -135,14 +135,14 @@ class TestBornProbability:
     @given(state_directions)
     def test_context_probabilities_sum_to_one(self, n):
         family = nakamura_family()
-        state = state_from_bloch(n)
+        state = projector_from_bloch(n)
         for context in family.contexts:
             total = sum(born_probability(state, family.elements[l]) for l in context)
             assert total == pytest.approx(1.0, abs=1e-10)
 
     @given(state_directions)
     def test_probability_within_weight_bound(self, n):
-        state = state_from_bloch(n)
+        state = projector_from_bloch(n)
         for family in (nakamura_family(), cabello_family()):
             for element in family.elements.values():
                 p = born_probability(state, element)
