@@ -100,7 +100,11 @@ def cmd_check(args) -> int:
     else:
         try:
             text = sys.stdin.read() if args.family_file == "-" else Path(args.family_file).read_text()
-            family = PovmFamily.from_json(text)
+            doc = json.loads(text)
+            # Also accept the whole output of `qcontext family`: config plus family.
+            if isinstance(doc, dict) and "elements" not in doc and "family" in doc:
+                doc = doc["family"]
+            family = PovmFamily.from_dict(doc)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             _emit_json({"config": config, "passed": False, "error": f"invalid family: {exc}"}, args.out)
             return EXIT_CHECK_FAILED

@@ -7,6 +7,12 @@ Monte Carlo aggregation checks the model against Born-rule statistics.
 
 One kernel, ``_povm_shard``, samples a context of N pairs; the Bell marginal
 is its one-pair case. One runner, ``_sample``, shards and merges the counts.
+The kernel draws a Gaussian triple z per sample, so m = z/|z| is uniform on
+the sphere, but it never builds m: for |z| > 0 the sign of (z/|z| + n).v is
+the sign of z.v + |z|(n.v), so only the row norms are needed. It works
+through a shard in blocks of ``_BLOCK`` samples, drawing the same numbers as
+one whole-shard draw. ``_unit_sphere`` builds m explicitly for
+``sample_hidden_variable``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ from .povm import PovmFamily, born_probability
 #: Fixed Monte Carlo shard size; substreams derive from (seed, shard index)
 #: alone, so reports are identical for any worker count.
 SHARD_SIZE = 1 << 17
+#: Samples per block inside a shard. A block's temporaries (64-192 KiB) are
+#: reused from the allocator's free lists and stay in cache, while whole-shard
+#: ones (1-3 MiB) are mapped and page-faulted afresh on most shards.
+_BLOCK = 1 << 13
 
 _VALID_SLOT_COUNTS = (2, 4)
 
@@ -74,16 +84,32 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
     plus_dirs, n_arr, seed, shard_index, count = args
     n_slots = len(plus_dirs)
     rng = _shard_rng(seed, shard_index)
-    # integers(0, 1, ...) draws nothing, so a one-slot shard samples m alone.
+    # integers(0, 1, ...) draws nothing, so a one-slot shard draws z alone.
     lams = rng.integers(0, n_slots, size=count)
-    g = _unit_sphere(rng, count) + n_arr
-    # One matrix-vector product per slot: a gemm against plus_dirs.T would
-    # start BLAS threads inside every pool worker and oversubscribe the cores.
-    signed = np.choose(lams, [g @ d for d in plus_dirs])
-    # Outcome 1 picks the "+" element of the slot pair; the boundary counts as 0.
-    element_index = 2 * lams + (signed <= 0)
-    counts = np.bincount(element_index, minlength=2 * n_slots)
-    return counts, int(np.count_nonzero(signed == 0))
+    n_dots = plus_dirs @ n_arr
+    counts = np.zeros(2 * n_slots, dtype=np.int64)
+    boundary = 0
+    for start in range(0, count, _BLOCK):
+        lam = lams[start : start + _BLOCK]
+        # Successive standard_normal calls continue one stream, so drawing z
+        # block by block gives the same z as drawing it whole.
+        z = rng.standard_normal((len(lam), 3))
+        # m = z/|z| is never built: sign((z/|z| + n).d) = sign(z.d + |z|(n.d)).
+        # One matrix-vector product per slot, each written over the samples
+        # whose lam picks that slot: a gemm against plus_dirs.T would start
+        # BLAS threads inside every pool worker and oversubscribe the cores.
+        signed = z @ plus_dirs[0]
+        for k in range(1, n_slots):
+            np.copyto(signed, z @ plus_dirs[k], where=lam == k)
+        r = np.sqrt(np.einsum("ij,ij->i", z, z))
+        # As in _unit_sphere: a zero triple (probability zero) counts as m = 0.
+        r[r == 0] = 1.0
+        r *= n_dots[lam]
+        signed += r
+        # Outcome 1 picks the "+" element of the slot pair; the boundary counts as 0.
+        counts += np.bincount(2 * lam + (signed <= 0), minlength=2 * n_slots)
+        boundary += int(np.count_nonzero(signed == 0))
+    return counts, boundary
 
 
 def _sample(

@@ -65,6 +65,11 @@ class PovmFamily:
                 if label not in self.elements:
                     raise KeyError(f"missing element: context references {label!r}")
 
+    def __hash__(self) -> int:
+        # The generated hash would hash the elements dict; a frozenset of its
+        # items agrees with ==, which compares dicts ignoring insertion order.
+        return hash((self.name, frozenset(self.elements.items()), self.contexts))
+
     def element_contexts(self, label: str) -> tuple[int, ...]:
         """Indices of the contexts containing the given element."""
         if label not in self.elements:

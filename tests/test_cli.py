@@ -71,6 +71,16 @@ class TestCheck:
         assert code == 0
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("model", ["nakamura", "cabello"])
+    def test_family_output_pipes_into_check(self, capsys, monkeypatch, model):
+        # qcontext family --model M | qcontext check --family-file -
+        _, out = run_cli(capsys, "family", "--model", model)
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, report = run_json(capsys, "check", "--family-file", "-")
+        assert code == 0
+        jsonschema.validate(report, load_schema("check"))
+        assert report["passed"] is True
+
     def test_corrupt_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from qcontext import (
@@ -13,9 +14,15 @@ from qcontext import (
     sample_hidden_variable,
     simulate_povm,
 )
-from qcontext.hv import _unit_sphere
+from qcontext.hv import _BLOCK, SHARD_SIZE, _povm_shard, _unit_sphere
 
 Z = BlochVector(0, 0, 1)
+
+unit_arrays = st.tuples(
+    st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
+).filter(lambda t: math.sqrt(sum(c * c for c in t)) > 1e-3).map(
+    lambda t: BlochVector.normalized(*t).as_array()
+)
 
 
 def acceptance_region_integral(n_dot_v: float) -> float:
@@ -170,6 +177,57 @@ class TestSimulatePovm:
         assert float(freq) == report.frequencies[0]
         assert float(born) == report.born[0]
         assert float(z) == report.z_scores[0]
+
+
+def _reference_shard(args) -> tuple[np.ndarray, int]:
+    """The sampling kernel as first written: it builds m on the sphere,
+    adds n and selects each sample's slot projection with np.choose."""
+    plus_dirs, n_arr, seed, shard_index, count = args
+    n_slots = len(plus_dirs)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,)))
+    lams = rng.integers(0, n_slots, size=count)
+    g = _unit_sphere(rng, count) + n_arr
+    signed = np.choose(lams, [g @ d for d in plus_dirs])
+    element_index = 2 * lams + (signed <= 0)
+    counts = np.bincount(element_index, minlength=2 * n_slots)
+    return counts, int(np.count_nonzero(signed == 0))
+
+
+@st.composite
+def shard_tasks(draw):
+    n_slots = draw(st.sampled_from([1, 2, 4]))
+    plus_dirs = np.array(draw(st.lists(unit_arrays, min_size=n_slots, max_size=n_slots)))
+    d = plus_dirs[draw(st.integers(0, len(plus_dirs) - 1))]
+    kind = draw(st.sampled_from(["random", "along", "against", "orthogonal"]))
+    if kind == "random":
+        n_arr = draw(unit_arrays)
+    elif kind == "along":
+        n_arr = d.copy()
+    elif kind == "against":
+        n_arr = -d
+    else:
+        other = draw(unit_arrays)
+        cross = np.cross(d, other)
+        if np.linalg.norm(cross) < 1e-3:
+            cross = np.cross(d, np.eye(3)[np.argmin(np.abs(d))])
+        n_arr = cross / np.linalg.norm(cross)
+    seed = draw(st.integers(0, 2**63 - 1))
+    shard_index = draw(st.integers(0, 10_000))
+    count = draw(st.sampled_from([1, 2, 997, 2 * _BLOCK + 3, SHARD_SIZE]))
+    return plus_dirs, n_arr, seed, shard_index, count
+
+
+class TestKernelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(shard_tasks())
+    def test_matches_reference_shard(self, task):
+        # The kernel tests the sign of z.d + |z|(n.d) instead of (z/|z| + n).d.
+        # The two round differently, so a sign could flip only where the exact
+        # value is within a few ulps of zero: about 1e-16 per sample.
+        counts, boundary = _povm_shard(task)
+        expected_counts, expected_boundary = _reference_shard(task)
+        assert counts.tolist() == expected_counts.tolist()
+        assert boundary == expected_boundary
 
 
 class TestPinnedReports:

@@ -165,6 +165,23 @@ class TestSerialization:
         assert rebuilt.contexts == nakamura.contexts
         assert rebuilt.elements["A+"].weight == Fraction(1, 2)
 
+    @pytest.mark.parametrize("build", [nakamura_family, cabello_family])
+    def test_hash_and_equality_survive_json_round_trip(self, build):
+        family = build()
+        rebuilt = PovmFamily.from_json(family.to_json())
+        assert rebuilt == family
+        assert hash(rebuilt) == hash(family)
+        assert len({family, rebuilt}) == 1
+
+    def test_hash_agrees_with_equality_across_element_order(self, nakamura):
+        reordered = PovmFamily(
+            name=nakamura.name,
+            elements=dict(reversed(nakamura.elements.items())),
+            contexts=nakamura.contexts,
+        )
+        assert reordered == nakamura
+        assert hash(reordered) == hash(nakamura)
+
     def test_document_field_names(self, nakamura):
         doc = nakamura.to_dict()
         assert set(doc) == {"name", "elements", "contexts"}
