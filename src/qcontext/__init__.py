@@ -52,6 +52,7 @@ from .ks import (
 from .povm import (
     PovmElement,
     PovmFamily,
+    born_probabilities,
     born_probability,
     cabello_family,
     check_completeness,
@@ -78,6 +79,7 @@ __all__ = [
     "VertexSet",
     "bell_marginal_estimate",
     "bell_outcome",
+    "born_probabilities",
     "born_probability",
     "cabello_family",
     "check_completeness",

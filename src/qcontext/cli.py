@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
 import sys
 from pathlib import Path
 
@@ -100,12 +99,13 @@ def cmd_check(args) -> int:
     else:
         try:
             text = sys.stdin.read() if args.family_file == "-" else Path(args.family_file).read_text()
+            # json raises RecursionError on a document nested too deeply.
             doc = json.loads(text)
             # Also accept the whole output of `qcontext family`: config plus family.
             if isinstance(doc, dict) and "elements" not in doc and "family" in doc:
                 doc = doc["family"]
             family = PovmFamily.from_dict(doc)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             _emit_json({"config": config, "passed": False, "error": f"invalid family: {exc}"}, args.out)
             return EXIT_CHECK_FAILED
 
@@ -175,7 +175,11 @@ def cmd_simulate(args) -> int:
     family = _load_model(args.model)
     context = _context_index(family, args.context)
     state = _parse_state(args.state)
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    seed = args.seed
+    if seed is None:
+        import secrets  # imported here: it would cost every CLI start ~6 ms
+
+        seed = secrets.randbits(64)
     config = {
         "command": "simulate",
         "model": args.model,

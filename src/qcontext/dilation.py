@@ -7,6 +7,12 @@ against a fixed ancilla state. This module builds the sequential dilation
 the extended projectors an element receives in its two contexts, and
 machine-checks that no slot assignment — indeed no one-to-one projector
 correspondence at all — can serve both families.
+
+The numeric checks run on stacked projectors: a context's projectors form
+one (M, 2N, 2N) array, so its partial traces, pairwise products and
+completeness sum are one numpy call each, as are the differences of the
+extension audit. Each entry is computed with the same arithmetic as one
+call per projector (or pair), so every residual is bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -17,25 +23,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import ATOL, IDENTITY2, projector_from_bloch
+from .bloch import ATOL, IDENTITY2
 from .povm import PovmFamily
 
 
 def partial_trace_over_ancilla(op: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """Trace out the first (ancilla) factor of an operator on C^N (x) C^2."""
+    """Trace out the first (ancilla) factor of an operator on C^N (x) C^2.
+
+    Takes one operator or a stack of them, shape (..., 2N, 2N).
+    """
     op = np.asarray(op)
-    if op.shape != (2 * ancilla_dim, 2 * ancilla_dim):
+    dim = 2 * ancilla_dim
+    if op.ndim < 2 or op.shape[-2:] != (dim, dim):
         raise ValueError(
             f"invalid scheme: operator shape {op.shape} does not match ancilla dim {ancilla_dim}"
         )
-    return np.einsum("aiaj->ij", op.reshape(ancilla_dim, 2, ancilla_dim, 2))
+    split = op.reshape(op.shape[:-2] + (ancilla_dim, 2, ancilla_dim, 2))
+    return np.einsum("...aiaj->...ij", split)
 
 
 def povm_contribution(ancilla_state: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """The qubit operator Tr_A{(rho_A (x) I) P} realized by an extended projector."""
-    ancilla_dim = ancilla_state.shape[0]
-    lifted = np.kron(ancilla_state, IDENTITY2) @ projector
-    return partial_trace_over_ancilla(lifted, ancilla_dim)
+    """The qubit operator Tr_A{(rho_A (x) I) P} realized by an extended projector
+    (or by each projector of a stack)."""
+    n = ancilla_state.shape[0]
+    # np.kron(ancilla_state, IDENTITY2) written out: the same products,
+    # without kron's per-call overhead.
+    kron = np.asarray(ancilla_state).reshape(n, 1, n, 1) * IDENTITY2.reshape(1, 2, 1, 2)
+    lifted = kron.reshape(2 * n, 2 * n) @ projector
+    return partial_trace_over_ancilla(lifted, n)
 
 
 def uniform_ancilla_state(dim: int) -> np.ndarray:
@@ -83,13 +98,15 @@ def sequential_dilation(
     if sorted(slot_order) != list(range(n_slots)):
         raise ValueError(f"invalid context: slot order {slot_order!r} is not a permutation")
 
+    # |k><k| (x) V is V on the k-th diagonal 2x2 block and zero elsewhere.
+    stack = np.zeros((2 * n_slots, 2 * n_slots, 2 * n_slots), dtype=complex)
     projectors = []
     for slot, pair_index in enumerate(slot_order):
-        basis = np.zeros((n_slots, n_slots), dtype=complex)
-        basis[slot, slot] = 1.0
+        block = slice(2 * slot, 2 * slot + 2)
         for label in pairs[pair_index]:
-            direction = family.elements[label].direction
-            projectors.append((label, np.kron(basis, projector_from_bloch(direction))))
+            op = stack[len(projectors)]
+            op[block, block] = family.elements[label].projector
+            projectors.append((label, op))
 
     return DilationScheme(
         ancilla_dim=n_slots,
@@ -149,27 +166,29 @@ def verify_dilation(
         if op.shape != (dim, dim):
             raise ValueError(f"invalid scheme: projector shape {op.shape} on dimension {dim}")
 
-    element_residuals = {}
-    for label, op in scheme.projectors:
-        realized = povm_contribution(scheme.ancilla_state, op)
-        expected = family.elements[label].operator
-        element_residuals[label] = float(np.max(np.abs(realized - expected)))
+    # Every projector, then every filler, stacked; the reshapes keep an empty
+    # scheme 3-D. The batched matmul and einsum compute each entry as the
+    # one-matrix calls would.
+    stack = np.array(all_ops).reshape(-1, dim, dim)
+    realized = povm_contribution(scheme.ancilla_state, stack)
+    expected = np.array(
+        [family.elements[label].operator for label in scheme_labels]
+    ).reshape(-1, 2, 2)
+    n_elements = len(scheme_labels)
+    residuals = np.abs(realized[:n_elements] - expected).max(axis=(1, 2)).tolist()
+    filler_residuals = np.abs(realized[n_elements:]).max(axis=(1, 2)).tolist()
 
-    filler_residuals = tuple(
-        float(np.max(np.abs(povm_contribution(scheme.ancilla_state, op))))
-        for op in scheme.fillers
-    )
+    # Index pairs i < j, as np.triu_indices gives them, without its overhead.
+    first, second = np.nonzero(~np.tri(len(stack), dtype=bool))
+    products = stack[first] @ stack[second]
+    orthogonality = float(np.abs(products).max()) if len(products) else 0.0
 
-    orthogonality = 0.0
-    for a, b in itertools.combinations(all_ops, 2):
-        orthogonality = max(orthogonality, float(np.max(np.abs(a @ b))))
-
-    completeness = float(np.max(np.abs(sum(all_ops) - np.eye(dim))))
+    completeness = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
 
     return DilationReport(
         context_index=context_index,
-        element_residuals=element_residuals,
-        filler_residuals=filler_residuals,
+        element_residuals=dict(zip(scheme_labels, residuals)),
+        filler_residuals=tuple(filler_residuals),
         orthogonality_residual=orthogonality,
         completeness_residual=completeness,
     )
@@ -226,25 +245,28 @@ def extension_audit(
             np.abs(scheme.ancilla_state - first.ancilla_state)
         ) > ATOL:
             raise ValueError("incomparable schemes: ancilla dimension or state differs")
+    dim = 2 * first.ancilla_dim
+    for scheme in schemes:
+        for label, op in scheme.projectors:
+            if op.shape != (dim, dim):
+                raise ValueError(
+                    f"incomparable schemes: {label} projector shape {op.shape} on dimension {dim}"
+                )
 
-    entries = []
-    for label in family.elements:
-        holders = family.element_contexts(label)
-        for i, j in itertools.combinations(holders, 2):
-            diff = float(
-                np.max(
-                    np.abs(schemes[i].projector_for(label) - schemes[j].projector_for(label))
-                )
-            )
-            entries.append(
-                AuditEntry(
-                    label=label,
-                    context_indices=(i, j),
-                    equal=diff <= ATOL,
-                    max_difference=diff,
-                )
-            )
-    return tuple(entries)
+    pairs = [
+        (label, i, j)
+        for label in family.elements
+        for i, j in itertools.combinations(family.element_contexts(label), 2)
+    ]
+    if not pairs:
+        return ()
+    left = np.array([schemes[i].projector_for(label) for label, i, _ in pairs])
+    right = np.array([schemes[j].projector_for(label) for label, _, j in pairs])
+    diffs = np.abs(left - right).max(axis=(1, 2)).tolist()
+    return tuple(
+        AuditEntry(label=label, context_indices=(i, j), equal=diff <= ATOL, max_difference=diff)
+        for (label, i, j), diff in zip(pairs, diffs)
+    )
 
 
 def count_consistent_slot_assignments(family: PovmFamily) -> int:

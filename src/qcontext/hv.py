@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .bloch import BlochVector, projector_from_bloch
-from .povm import PovmFamily, born_probability
+from .povm import PovmFamily, born_probabilities
 
 #: Fixed Monte Carlo shard size; substreams derive from (seed, shard index)
 #: alone, so reports are identical for any worker count.
@@ -125,6 +124,10 @@ def _sample(
         for k, start in enumerate(range(0, samples, SHARD_SIZE))
     ]
     if workers > 1 and len(tasks) > 1:
+        # Imported here: the pool machinery costs ~17 ms to import, which
+        # every CLI start would pay for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_povm_shard, tasks))
     else:
@@ -226,8 +229,7 @@ def simulate_povm(
     counts, boundary = _sample(plus_dirs, n, samples, seed, workers)
 
     labels = family.contexts[context_index]
-    state = projector_from_bloch(n)
-    born = tuple(born_probability(state, family.elements[label]) for label in labels)
+    born = born_probabilities(projector_from_bloch(n), [family.elements[l] for l in labels])
     frequencies = tuple(int(c) / samples for c in counts)
     z_scores = tuple(
         _z_score(freq, p, samples) for freq, p in zip(frequencies, born)

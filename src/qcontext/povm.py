@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +31,11 @@ Context = tuple[str, ...]
 
 @dataclass(frozen=True)
 class PovmElement:
-    """Weighted rank-1 POVM element: operator = weight * (I + v.sigma)/2."""
+    """Weighted rank-1 POVM element: operator = weight * (I + v.sigma)/2.
+
+    ``projector`` and ``operator`` are computed on first use and kept with the
+    element as read-only arrays.
+    """
 
     label: str
     weight: Fraction
@@ -39,9 +45,18 @@ class PovmElement:
         if self.weight <= 0:
             raise ValueError(f"element {self.label!r} must have positive weight")
 
-    @property
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """(I + v.sigma)/2 for the element's direction."""
+        projector = projector_from_bloch(self.direction)
+        projector.flags.writeable = False
+        return projector
+
+    @cached_property
     def operator(self) -> np.ndarray:
-        return float(self.weight) * projector_from_bloch(self.direction)
+        operator = float(self.weight) * self.projector
+        operator.flags.writeable = False
+        return operator
 
 
 @dataclass(frozen=True)
@@ -125,19 +140,57 @@ class PovmFamily:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PovmFamily":
+        """Build a family from its ``to_dict`` form.
+
+        Raises ValueError, with a message naming the offending field, for any
+        document that does not have that shape.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        name = doc.get("name")
+        if not isinstance(name, str):
+            raise ValueError("'name' must be a string")
+        entries = doc.get("elements")
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError("'elements' must be a list of objects")
         elements = {}
-        for entry in doc["elements"]:
-            label = entry["label"]
+        for position, entry in enumerate(entries, start=1):
+            where = f"element {position}"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: expected an object")
+            label = entry.get("label")
+            if not isinstance(label, str):
+                raise ValueError(f"{where}: 'label' must be a string")
+            if label in elements:
+                raise ValueError(f"{where}: duplicate label {label!r}")
+            weight = entry.get("weight")
+            if not _is_finite_number(weight):
+                raise ValueError(f"{where} ({label}): 'weight' must be a finite number")
+            direction = entry.get("direction")
+            if not (
+                isinstance(direction, (list, tuple))
+                and len(direction) == 3
+                and all(_is_finite_number(c) for c in direction)
+            ):
+                raise ValueError(f"{where} ({label}): 'direction' must be a list of 3 finite numbers")
             elements[label] = PovmElement(
                 label=label,
-                weight=Fraction(str(entry["weight"])),
-                direction=BlochVector.from_array(entry["direction"]),
+                weight=Fraction(str(weight)),
+                direction=BlochVector.from_array(direction),
             )
-        return cls(
-            name=doc["name"],
-            elements=elements,
-            contexts=tuple(tuple(c) for c in doc["contexts"]),
-        )
+        contexts = doc.get("contexts")
+        if not (
+            isinstance(contexts, (list, tuple))
+            and all(
+                isinstance(c, (list, tuple)) and all(isinstance(l, str) for l in c)
+                for c in contexts
+            )
+        ):
+            raise ValueError("'contexts' must be a list of label lists")
+        try:
+            return cls(name=name, elements=elements, contexts=tuple(tuple(c) for c in contexts))
+        except KeyError as exc:  # a context names a label no element has
+            raise ValueError(exc.args[0]) from exc
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -145,6 +198,16 @@ class PovmFamily:
     @classmethod
     def from_json(cls, text: str) -> "PovmFamily":
         return cls.from_dict(json.loads(text))
+
+
+def _is_finite_number(value) -> bool:
+    # bool is an int subclass, but true/false is not a number in a family file.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _build_family(name, vertex_set, weight, context_letters) -> PovmFamily:
@@ -191,9 +254,14 @@ def check_completeness(context: Sequence[str], family: PovmFamily) -> float:
     return float(np.max(np.abs(total)))
 
 
-def born_probability(state: np.ndarray, element: PovmElement) -> float:
-    """trace(state * element.operator) = weight * (1 + n.v)/2, in [0, weight]."""
+def born_probabilities(state: np.ndarray, elements: Sequence[PovmElement]) -> tuple[float, ...]:
+    """trace(state * element.operator) for each element, the state checked once."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (2, 2) or not is_density_operator(state):
         raise ValueError("invalid state: expected a 2x2 density operator")
-    return float(np.trace(state @ element.operator).real)
+    return tuple(float(np.trace(state @ element.operator).real) for element in elements)
+
+
+def born_probability(state: np.ndarray, element: PovmElement) -> float:
+    """trace(state * element.operator) = weight * (1 + n.v)/2, in [0, weight]."""
+    return born_probabilities(state, (element,))[0]

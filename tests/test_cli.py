@@ -1,12 +1,41 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from qcontext import nakamura_family
 from qcontext.cli import main
 
 from conftest import load_schema
+
+PINNED_DIR = Path(__file__).resolve().parent / "pinned"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _malformed_families():
+    missing_direction = nakamura_family().to_dict()
+    del missing_direction["elements"][0]["direction"]
+    contexts_string = nakamura_family().to_dict()
+    contexts_string["contexts"] = "AB"
+    return [
+        pytest.param({"family": 3}, "expected a JSON object, got int", id="not-an-object"),
+        pytest.param(
+            missing_direction,
+            "element 1 (A+): 'direction' must be a list of 3 finite numbers",
+            id="missing-direction",
+        ),
+        pytest.param(
+            contexts_string, "'contexts' must be a list of label lists", id="contexts-string"
+        ),
+    ]
+
+
+MALFORMED_FAMILIES = _malformed_families()
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +121,22 @@ class TestCheck:
         monkeypatch.setattr("sys.stdin", io.StringIO("garbage"))
         code, doc = run_json(capsys, "check", "--family-file", "-")
         assert code == 1
+
+    def test_deeply_nested_document_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+        code, report = run_json(capsys, "check", "--family-file", "-")
+        assert code == 1
+        jsonschema.validate(report, load_schema("check"))
+        assert report["error"].startswith("invalid family: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("doc,message", MALFORMED_FAMILIES)
+    def test_malformed_family_is_a_plain_error(self, capsys, monkeypatch, doc, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, report = run_json(capsys, "check", "--family-file", "-")
+        assert code == 1
+        jsonschema.validate(report, load_schema("check"))
+        assert report["passed"] is False
+        assert report["error"] == f"invalid family: {message}"
 
     def test_requires_source(self):
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +310,41 @@ class TestAudit:
         assert doc["mismatched"] >= 1
         flagged = {e["label"] for e in doc["entries"] if not e["equal"]}
         assert flagged == {"B+", "B-"}
+
+
+class TestPinnedDilationOutputs:
+    """``dilate`` and ``audit`` output, byte for byte. A change that moves any
+    residual's last bit must update these files and say so."""
+
+    @pytest.mark.parametrize("command", ["dilate", "audit"])
+    @pytest.mark.parametrize("model", ["nakamura", "cabello"])
+    def test_output(self, capsys, command, model):
+        code, out = run_cli(capsys, command, "--model", model)
+        assert code == 0
+        assert out == (PINNED_DIR / f"{command}-{model}.json").read_text()
+
+
+class TestStartup:
+    def test_import_skips_pool_and_secrets(self):
+        # The pool and secrets are imported where they are used, so a CLI
+        # start does not pay for them.
+        path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        probe = (
+            "import sys, qcontext.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'secrets'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_seedless_simulate_still_draws_a_seed(self, capsys):
+        code, doc = run_json(
+            capsys, "simulate", "--model", "nakamura", "--context", "1", "--samples", "100"
+        )
+        assert code in (0, 1)
+        assert 0 <= doc["config"]["seed"] < 2**64
 
 
 class TestFeasibility:

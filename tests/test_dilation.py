@@ -1,13 +1,20 @@
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcontext import (
+    AuditEntry,
+    DilationReport,
     DilationScheme,
+    PovmElement,
+    cabello_family,
     count_consistent_slot_assignments,
     extension_audit,
+    nakamura_family,
     one_to_one_feasibility,
     partial_trace_over_ancilla,
     povm_contribution,
@@ -48,6 +55,16 @@ class TestPartialTrace:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="invalid scheme"):
             partial_trace_over_ancilla(np.eye(6), 4)
+        with pytest.raises(ValueError, match="invalid scheme"):
+            partial_trace_over_ancilla(np.ones(8), 4)
+
+    def test_stack_traces_each_operator(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_density(8, rng) for _ in range(3)]).reshape(3, 1, 8, 8)
+        traced = partial_trace_over_ancilla(stack, 4)
+        assert traced.shape == (3, 1, 2, 2)
+        for op, out in zip(stack[:, 0], traced[:, 0]):
+            assert out.tobytes() == partial_trace_over_ancilla(op, 4).tobytes()
 
 
 class TestSequentialDilation:
@@ -200,6 +217,13 @@ class TestExtensionAudit:
         with pytest.raises(ValueError, match="incomparable"):
             extension_audit(nakamura, schemes)
 
+    def test_projector_shape_mismatch_rejected(self, nakamura):
+        schemes = [sequential_dilation(nakamura, i) for i in range(3)]
+        cropped = tuple((label, op[:2, :2]) for label, op in schemes[1].projectors)
+        schemes[1] = replace(schemes[1], projectors=cropped)
+        with pytest.raises(ValueError, match=r"incomparable schemes: A\+ projector shape \(2, 2\)"):
+            extension_audit(nakamura, schemes)
+
     def test_every_nakamura_slot_assignment_leaves_a_mismatch(self, nakamura):
         for orders in itertools.product(list(itertools.permutations(range(2))), repeat=3):
             schemes = [
@@ -299,3 +323,214 @@ class TestUniformAncilla:
         state = uniform_ancilla_state(2)
         assert np.trace(state) == 1.0
         assert np.max(np.abs(state @ state - state)) <= ATOL
+
+
+# --- the loop-based dilation code as first written: one numpy call per
+# projector, per pair of projectors and per audited label. The stacked code
+# in qcontext.dilation must reproduce every residual exactly.
+
+
+def _reference_operator(element) -> np.ndarray:
+    return float(element.weight) * projector_from_bloch(element.direction)
+
+
+def _reference_contribution(ancilla_state, projector) -> np.ndarray:
+    n = ancilla_state.shape[0]
+    lifted = np.kron(ancilla_state, np.eye(2, dtype=complex)) @ projector
+    return np.einsum("aiaj->ij", lifted.reshape(n, 2, n, 2))
+
+
+def _reference_sequential_dilation(family, context_index, slot_order) -> DilationScheme:
+    pairs = family.context_pairs(context_index)
+    n_slots = len(pairs)
+    projectors = []
+    for slot, pair_index in enumerate(slot_order):
+        basis = np.zeros((n_slots, n_slots), dtype=complex)
+        basis[slot, slot] = 1.0
+        for label in pairs[pair_index]:
+            direction = family.elements[label].direction
+            projectors.append((label, np.kron(basis, projector_from_bloch(direction))))
+    return DilationScheme(
+        ancilla_dim=n_slots,
+        ancilla_state=uniform_ancilla_state(n_slots),
+        context_index=context_index,
+        projectors=tuple(projectors),
+    )
+
+
+def _reference_verify_dilation(scheme, family, context_index) -> DilationReport:
+    all_ops = [op for _, op in scheme.projectors] + list(scheme.fillers)
+    element_residuals = {}
+    for label, op in scheme.projectors:
+        realized = _reference_contribution(scheme.ancilla_state, op)
+        expected = _reference_operator(family.elements[label])
+        element_residuals[label] = float(np.max(np.abs(realized - expected)))
+    filler_residuals = tuple(
+        float(np.max(np.abs(_reference_contribution(scheme.ancilla_state, op))))
+        for op in scheme.fillers
+    )
+    orthogonality = 0.0
+    for a, b in itertools.combinations(all_ops, 2):
+        orthogonality = max(orthogonality, float(np.max(np.abs(a @ b))))
+    dim = 2 * scheme.ancilla_dim
+    completeness = float(np.max(np.abs(sum(all_ops) - np.eye(dim))))
+    return DilationReport(
+        context_index=context_index,
+        element_residuals=element_residuals,
+        filler_residuals=filler_residuals,
+        orthogonality_residual=orthogonality,
+        completeness_residual=completeness,
+    )
+
+
+def _reference_extension_audit(family, schemes) -> tuple[AuditEntry, ...]:
+    entries = []
+    for label in family.elements:
+        for i, j in itertools.combinations(family.element_contexts(label), 2):
+            diff = float(
+                np.max(np.abs(schemes[i].projector_for(label) - schemes[j].projector_for(label)))
+            )
+            entries.append(AuditEntry(label, (i, j), diff <= ATOL, diff))
+    return tuple(entries)
+
+
+FAMILIES = (nakamura_family(), cabello_family())
+
+
+def _swap_labels(scheme, rng) -> DilationScheme:
+    """Exchange the projectors of two labels."""
+    labels = [label for label, _ in scheme.projectors]
+    a, b = rng.choice(len(labels), size=2, replace=False)
+    ops = [op for _, op in scheme.projectors]
+    ops[a], ops[b] = ops[b], ops[a]
+    return replace(scheme, projectors=tuple(zip(labels, ops)))
+
+
+@st.composite
+def dilation_cases(draw):
+    """A context's sequential dilation under random slot orders, then
+    perturbed: a wider ancilla with fillers, a random ancilla density state,
+    and swapped projectors."""
+    family = draw(st.sampled_from(FAMILIES))
+    context_index = draw(st.integers(0, len(family.contexts) - 1))
+    n_slots = len(family.context_pairs(context_index))
+    slot_order = draw(st.permutations(range(n_slots)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheme = _reference_sequential_dilation(family, context_index, slot_order)
+
+    extra = draw(st.integers(0, 2))
+    if extra:
+        dim = 2 * (n_slots + extra)
+        padded = []
+        for label, op in scheme.projectors:
+            wide = np.zeros((dim, dim), dtype=complex)
+            wide[: 2 * n_slots, : 2 * n_slots] = op
+            padded.append((label, wide))
+        rest = np.zeros((dim, dim), dtype=complex)
+        rest[2 * n_slots :, 2 * n_slots :] = np.eye(2 * extra)
+        fillers = [rest] + [
+            random_projector(dim, int(rng.integers(1, dim)), rng)
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        state = np.zeros((n_slots + extra, n_slots + extra), dtype=complex)
+        state[:n_slots, :n_slots] = uniform_ancilla_state(n_slots)
+        scheme = DilationScheme(
+            ancilla_dim=n_slots + extra,
+            ancilla_state=state,
+            context_index=context_index,
+            projectors=tuple(padded),
+            fillers=tuple(fillers),
+        )
+    if draw(st.booleans()):
+        scheme = replace(scheme, ancilla_state=random_density(scheme.ancilla_dim, rng))
+    if draw(st.booleans()):
+        scheme = _swap_labels(scheme, rng)
+    return family, context_index, scheme
+
+
+@st.composite
+def audit_cases(draw):
+    """One sequential dilation per context, random slot orders, optionally a
+    shared random ancilla state and swapped projectors."""
+    family = draw(st.sampled_from(FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schemes = []
+    for i in range(len(family.contexts)):
+        order = draw(st.permutations(range(len(family.context_pairs(i)))))
+        scheme = sequential_dilation(family, i, slot_order=order)
+        if draw(st.booleans()):
+            scheme = _swap_labels(scheme, rng)
+        schemes.append(scheme)
+    if draw(st.booleans()):
+        state = random_density(schemes[0].ancilla_dim, rng)
+        schemes = [replace(s, ancilla_state=state) for s in schemes]
+    return family, schemes
+
+
+class TestStackedMatchesReference:
+    """The stacked dilation code against the loop-based reference, exactly."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_sequential_dilation_every_slot_order(self, family):
+        for i in range(len(family.contexts)):
+            for order in itertools.permutations(range(len(family.context_pairs(i)))):
+                scheme = sequential_dilation(family, i, slot_order=order)
+                reference = _reference_sequential_dilation(family, i, order)
+                assert scheme.ancilla_dim == reference.ancilla_dim
+                assert np.array_equal(scheme.ancilla_state, reference.ancilla_state)
+                assert [l for l, _ in scheme.projectors] == [l for l, _ in reference.projectors]
+                for (_, op), (_, expected) in zip(scheme.projectors, reference.projectors):
+                    # Equal as numbers: the kron could only add a sign to a zero.
+                    assert np.array_equal(op, expected)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_default_reports(self, family):
+        for i in range(len(family.contexts)):
+            scheme = sequential_dilation(family, i)
+            reference = _reference_verify_dilation(scheme, family, i)
+            assert verify_dilation(scheme, family, i) == reference
+
+    @pytest.mark.parametrize("fillers", [(), (np.eye(2, dtype=complex),)])
+    def test_scheme_without_elements(self, fillers):
+        # A context may be empty; its scheme holds fillers or nothing at all.
+        family = PovmFamily(name="empty", elements={}, contexts=((),))
+        scheme = DilationScheme(
+            ancilla_dim=1,
+            ancilla_state=np.ones((1, 1), dtype=complex),
+            context_index=0,
+            projectors=(),
+            fillers=fillers,
+        )
+        report = verify_dilation(scheme, family, 0)
+        assert report == _reference_verify_dilation(scheme, family, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dilation_cases())
+    def test_verify_dilation(self, case):
+        family, context_index, scheme = case
+        report = verify_dilation(scheme, family, context_index)
+        reference = _reference_verify_dilation(scheme, family, context_index)
+        assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
+    @settings(max_examples=60, deadline=None)
+    @given(audit_cases())
+    def test_extension_audit(self, case):
+        family, schemes = case
+        assert extension_audit(family, schemes) == _reference_extension_audit(family, schemes)
+
+
+class TestElementOperators:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_cached_read_only_and_bit_equal(self, family):
+        for element in family.elements.values():
+            fresh = PovmElement(element.label, element.weight, element.direction)
+            for op, expected in (
+                (fresh.projector, projector_from_bloch(element.direction)),
+                (fresh.operator, _reference_operator(element)),
+            ):
+                assert op.tobytes() == expected.tobytes()
+                assert not op.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    op[0, 0] = 0.0
+            assert fresh.operator is fresh.operator
+            assert fresh.projector is fresh.projector

@@ -9,6 +9,7 @@ from qcontext import (
     BlochVector,
     PovmElement,
     PovmFamily,
+    born_probabilities,
     born_probability,
     cabello_family,
     check_completeness,
@@ -131,6 +132,15 @@ class TestBornProbability:
     def test_invalid_state_rejected(self, nakamura):
         with pytest.raises(ValueError, match="invalid state"):
             born_probability(np.array([[1.0, 0.0], [0.0, 1.0]]), nakamura.elements["A+"])
+        with pytest.raises(ValueError, match="invalid state"):
+            born_probabilities(np.eye(3) / 3, list(nakamura.elements.values()))
+
+    @given(state_directions)
+    def test_batch_equals_one_at_a_time(self, n):
+        state = projector_from_bloch(n)
+        elements = list(cabello_family().elements.values())
+        expected = tuple(born_probability(state, e) for e in elements)
+        assert born_probabilities(state, elements) == expected
 
     @given(state_directions)
     def test_context_probabilities_sum_to_one(self, n):
@@ -192,6 +202,38 @@ class TestSerialization:
         doc["elements"][0]["direction"] = [3.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="unit"):
             PovmFamily.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            ((), [1, 2], "expected a JSON object, got list"),
+            (("name",), None, "'name' must be a string"),
+            (("elements",), {"A+": 1}, "'elements' must be a list of objects"),
+            (("elements", 1), "A-", "element 2: expected an object"),
+            (("elements", 0, "label"), 7, "element 1: 'label' must be a string"),
+            (("elements", 1, "label"), "A+", "element 2: duplicate label 'A+'"),
+            (("elements", 0, "weight"), True, "element 1 (A+): 'weight' must be a finite number"),
+            (("elements", 0, "weight"), 10**400, "element 1 (A+): 'weight' must be a finite number"),
+            (("elements", 0, "weight"), -0.5, "element 'A+' must have positive weight"),
+            (("elements", 0, "direction"), [0, 1], "element 1 (A+): 'direction' must be a list of 3"),
+            (("elements", 0, "direction"), [0, "1", 0], "element 1 (A+): 'direction' must be a list of 3"),
+            (("contexts",), "AB", "'contexts' must be a list of label lists"),
+            (("contexts", 0), [1, 2], "'contexts' must be a list of label lists"),
+            (("contexts", 0, 0), "Z+", "missing element: context references 'Z+'"),
+        ],
+    )
+    def test_malformed_document_rejected(self, nakamura, path, value, message):
+        doc = nakamura.to_dict()
+        if not path:
+            doc = value
+        else:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        with pytest.raises(ValueError) as exc:
+            PovmFamily.from_dict(doc)
+        assert str(exc.value).startswith(message)
 
 
 class TestRotationInvariance:
