@@ -3,6 +3,11 @@
 Exit codes: 0 success/pass, 1 check failure, 2 usage or parse error, 3 for the
 expected impossibility verdicts (hypergraph not colorable, one-to-one
 extension infeasible).
+
+Every usage error, argparse's own included, is a ``UsageError`` that ``main``
+prints as one ``qcontext: error:`` line, with exit 2; only ``-h`` exits by
+``SystemExit``. Flag values are checked where argparse parses them, by their
+``type=`` or ``choices`` (``--format csv`` is a ``simulate`` flag only).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .dilation import (
     sequential_dilation,
     verify_dilation,
 )
-from .hv import simulate_povm
+from .hv import MAX_SAMPLES, simulate_povm
 from .ks import ContextHypergraph, enumerate_assignments, parse_hypergraph
 from .povm import PovmFamily, cabello_family, check_completeness, nakamura_family
 
@@ -32,7 +37,29 @@ EXIT_IMPOSSIBLE = 3
 
 
 class UsageError(Exception):
-    pass
+    """A bad command line; ``main`` prints it as one line and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's errors as ``UsageError``; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _bounded_int(name: str, low: int, high: float = float("inf")):
+    """An argparse type: an int in [low, high]. argparse does not catch the
+    ``UsageError``, so the message carries no "argument --flag:" prefix."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise UsageError(f"{name} must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
 def _load_model(name: str) -> PovmFamily:
@@ -63,7 +90,10 @@ def _context_index(family: PovmFamily, context: int) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise UsageError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -72,28 +102,22 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
-def _require_json(args) -> None:
-    if getattr(args, "format", "json") != "json":
-        raise UsageError(f"--format csv is not supported for {args.command!r}")
+def _config(args, *flags: str) -> dict:
+    """The echoed command line: the command, the named flags, format and out."""
+    names = ("model", *flags, "format", "out")
+    return {"command": args.command, **{name: getattr(args, name) for name in names}}
 
 
 def cmd_family(args) -> int:
-    _require_json(args)
     family = _load_model(args.model)
-    config = {"command": "family", "model": args.model, "format": args.format, "out": args.out}
-    _emit_json({"config": config, "family": family.to_dict()}, args.out)
+    _emit_json({"config": _config(args), "family": family.to_dict()}, args.out)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    _require_json(args)
-    config = {
-        "command": "check",
-        "model": args.model,
-        "family_file": args.family_file,
-        "format": args.format,
-        "out": args.out,
-    }
+    if not (args.model or args.family_file):
+        raise UsageError("check requires --model or --family-file")
+    config = _config(args, "family_file")
     if args.model:
         family = _load_model(args.model)
     else:
@@ -142,15 +166,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_ks_search(args) -> int:
-    _require_json(args)
-    config = {
-        "command": "ks-search",
-        "model": args.model,
-        "hypergraph": args.hypergraph,
-        "workers": args.workers,
-        "format": args.format,
-        "out": args.out,
-    }
+    if not (args.model or args.hypergraph):
+        raise UsageError("ks-search requires --model or --hypergraph")
+    config = _config(args, "hypergraph", "workers")
     if args.model:
         family = _load_model(args.model)
         hypergraph = ContextHypergraph.from_contexts(family.contexts)
@@ -168,13 +186,9 @@ def cmd_ks_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"samples must be >= 1, got {args.samples}")
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {args.seed}")
     family = _load_model(args.model)
     context = _context_index(family, args.context)
-    state = _parse_state(args.state)
+    state = args.state  # a BlochVector: --state is parsed by _parse_state
     seed = args.seed
     if seed is None:
         import secrets  # imported here: it would cost every CLI start ~6 ms
@@ -203,19 +217,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    _require_json(args)
     family = _load_model(args.model)
     if args.context is None:
         indices = range(len(family.contexts))
     else:
         indices = [_context_index(family, args.context)]
-    config = {
-        "command": "dilate",
-        "model": args.model,
-        "context": args.context,
-        "format": args.format,
-        "out": args.out,
-    }
+    config = _config(args, "context")
     reports = [
         verify_dilation(sequential_dilation(family, i), family, i) for i in indices
     ]
@@ -231,9 +238,8 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _require_json(args)
     family = _load_model(args.model)
-    config = {"command": "audit", "model": args.model, "format": args.format, "out": args.out}
+    config = _config(args)
     schemes = [sequential_dilation(family, i) for i in range(len(family.contexts))]
     entries = extension_audit(family, schemes)
     payload = {
@@ -247,39 +253,31 @@ def cmd_audit(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    _require_json(args)
     family = _load_model(args.model)
-    config = {"command": "feasibility", "model": args.model, "format": args.format, "out": args.out}
     certificate = one_to_one_feasibility(family)
     if certificate is None:
-        payload = {
-            "config": config,
-            "family": family.name,
-            "verdict": "feasible",
-            "element": None,
-            "steps": [],
-        }
-        _emit_json(payload, args.out)
-        return EXIT_OK
-    payload = {"config": config, **certificate.to_dict()}
-    _emit_json(payload, args.out)
-    return EXIT_IMPOSSIBLE
+        verdict = {"family": family.name, "verdict": "feasible", "element": None, "steps": []}
+    else:
+        verdict = certificate.to_dict()
+    _emit_json({"config": _config(args), **verdict}, args.out)
+    return EXIT_OK if certificate is None else EXIT_IMPOSSIBLE
 
 
-def _add_common(parser, model_required=True, formats=True, workers_help=None):
+def _add_common(parser, model_required=True, formats=("json",), workers_help=None):
     parser.add_argument(
         "--model", choices=["nakamura", "cabello"], required=model_required,
         help="built-in measurement family",
     )
-    if formats:
-        parser.add_argument("--format", choices=["json", "csv"], default="json")
-        parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
+    parser.add_argument("--format", choices=formats, default="json")
+    parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
     if workers_help:
-        parser.add_argument("--workers", type=int, default=1, help=workers_help)
+        parser.add_argument(
+            "--workers", type=_bounded_int("workers", 1), default=1, help=workers_help
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcontext",
         description="Single-qubit POVM contextuality workbench",
     )
@@ -302,11 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ks_search)
 
     p = sub.add_parser("simulate", help="hidden-variable Monte Carlo vs Born statistics")
-    _add_common(p, workers_help="parallel workers; never changes the output")
+    _add_common(p, formats=("json", "csv"), workers_help="parallel workers; never changes the output")
     p.add_argument("--context", type=int, required=True, help="context number, 1-based")
-    p.add_argument("--state", default="0,0,1", help="system direction x,y,z (normalized on ingest)")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: fresh entropy)")
+    p.add_argument("--state", type=_parse_state, default="0,0,1",
+                   help="system direction x,y,z (normalized on ingest)")
+    p.add_argument("--samples", type=_bounded_int("samples", 1, MAX_SAMPLES), default=1_000_000)
+    p.add_argument("--seed", type=_bounded_int("seed", 0), default=None,
+                   help="master seed (default: fresh entropy)")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("dilate", help="build and verify sequential dilations")
@@ -326,18 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check" and not args.model and not args.family_file:
-        parser.error("check requires --model or --family-file")
-    if args.command == "ks-search" and not args.model and not args.hypergraph:
-        parser.error("ks-search requires --model or --hypergraph")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
-        print(f"qcontext: error: {exc}", file=sys.stderr)
+        # Raw argv can reach the message (argparse's "unrecognized arguments").
+        print("qcontext: error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return EXIT_USAGE
 
 

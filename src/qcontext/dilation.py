@@ -93,6 +93,8 @@ def sequential_dilation(
     """
     pairs = family.context_pairs(context_index)
     n_slots = len(pairs)
+    if n_slots == 0:
+        raise ValueError(f"invalid context: context {context_index + 1} has no pairs to dilate")
     if slot_order is None:
         slot_order = tuple(range(n_slots))
     if sorted(slot_order) != list(range(n_slots)):
@@ -321,29 +323,19 @@ def filler_atom(context_index: int) -> str:
 
 
 @dataclass(frozen=True)
-class ConfinementFact:
-    """Derived fact: the atom's range lies inside the span of ``within``."""
-
-    atom: str
-    within: tuple[str, ...]
-    context_index: int | None
-
-
-@dataclass(frozen=True)
 class ConstraintGraph:
     """Symbolic skeleton of the one-to-one hypothesis for a family.
 
     One atom per element (the hypothesis: a single projector serves both of
     its contexts) plus one filler per context, constrained by zero POVM
     contribution. Orthogonality pairs are those implied by shared-context
-    membership; confinements start empty and are only ever derived.
+    membership.
     """
 
     atoms: tuple[str, ...]
     completeness_groups: tuple[tuple[str, ...], ...]
     orthogonal_pairs: frozenset[tuple[str, str]]
     zero_trace: frozenset[str]
-    confinements: tuple[ConfinementFact, ...] = ()
 
     @classmethod
     def from_family(cls, family: PovmFamily) -> "ConstraintGraph":

@@ -34,6 +34,10 @@ SHARD_SIZE = 1 << 17
 #: reused from the allocator's free lists and stay in cache, while whole-shard
 #: ones (1-3 MiB) are mapped and page-faulted afresh on most shards.
 _BLOCK = 1 << 13
+#: Most samples one call may ask for. ``_sample`` builds its shard plan whole
+#: before any work starts, so the ceiling keeps that plan (and the pool's
+#: futures) at 2^15 entries; int64 counts stay far from overflow.
+MAX_SAMPLES = 1 << 32
 
 _VALID_SLOT_COUNTS = (2, 4)
 
@@ -118,6 +122,8 @@ def _sample(
     the counts are the same for any worker count."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {samples}")
     n_arr = n.as_array()
     tasks = [
         (plus_dirs, n_arr, seed, k, min(SHARD_SIZE, samples - start))

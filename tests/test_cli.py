@@ -10,6 +10,7 @@ import pytest
 
 from qcontext import nakamura_family
 from qcontext.cli import main
+from qcontext.hv import MAX_SAMPLES
 
 from conftest import load_schema
 
@@ -49,6 +50,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def usage_error_line(capsys, *argv):
+    """Run a usage error: exit 2, nothing on stdout, one stderr line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qcontext: error: ")
+    return lines[0]
+
+
 class TestFamily:
     def test_nakamura(self, capsys):
         code, doc = run_json(capsys, "family", "--model", "nakamura")
@@ -65,10 +77,8 @@ class TestFamily:
         assert len(doc["family"]["elements"]) == 20
         assert len(doc["family"]["contexts"]) == 5
 
-    def test_unknown_model_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["family", "--model", "foo"])
-        assert exc.value.code == 2
+    def test_unknown_model_exits_2(self, capsys):
+        usage_error_line(capsys, "family", "--model", "foo")
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "family.json"
@@ -138,10 +148,8 @@ class TestCheck:
         assert report["passed"] is False
         assert report["error"] == f"invalid family: {message}"
 
-    def test_requires_source(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["check"])
-        assert exc.value.code == 2
+    def test_requires_source(self, capsys):
+        usage_error_line(capsys, "check")
 
 
 class TestKsSearch:
@@ -191,9 +199,8 @@ class TestKsSearch:
         code, _ = run_cli(capsys, "ks-search", "--hypergraph", str(path))
         assert code == 2
 
-    def test_requires_source(self):
-        with pytest.raises(SystemExit):
-            main(["ks-search"])
+    def test_requires_source(self, capsys):
+        usage_error_line(capsys, "ks-search")
 
 
 class TestSimulate:
@@ -276,10 +283,62 @@ class TestSimulate:
         one_doc, four_doc = json.loads(one), json.loads(four)
         assert one_doc["report"] == four_doc["report"]
 
-    def test_invalid_workers_exits_2(self):
+    def test_invalid_workers_exits_2(self, capsys):
+        usage_error_line(
+            capsys, "simulate", "--model", "nakamura", "--context", "1", "--workers", "0"
+        )
+
+    def test_samples_above_ceiling_exits_2(self, capsys):
+        # Rejected while argv is parsed: no shard plan is built.
+        line = usage_error_line(
+            capsys, "simulate", "--model", "nakamura", "--context", "1",
+            "--samples", "99999999999999999999",
+        )
+        assert line == (
+            f"qcontext: error: samples must be <= {MAX_SAMPLES}, got 99999999999999999999"
+        )
+
+
+SIMULATE = ("simulate", "--model", "nakamura", "--context", "1", "--samples", "10")
+
+
+class TestUsageErrors:
+    """Every usage error, argparse's own included, is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            pytest.param((*SIMULATE, "--context", "x"), "--context", id="context-not-int"),
+            pytest.param(("family", "--model", "foo"), "--model", id="unknown-model"),
+            pytest.param((*SIMULATE, "--workers", "0"), "workers must be >= 1", id="workers-0"),
+            pytest.param((*SIMULATE, "--state", "-0.5,0,1"), "--state", id="state-looks-like-flag"),
+            pytest.param(("check",), "--model or --family-file", id="check-no-source"),
+            pytest.param(("ks-search",), "--model or --hypergraph", id="ks-search-no-source"),
+            pytest.param(("family", "--model", "nakamura", "--format", "csv"), "--format",
+                         id="family-format-csv"),
+            pytest.param((*SIMULATE, "--samples", "0"), "samples must be >= 1", id="samples-0"),
+            pytest.param(("simulate", "--model", "nakamura"), "--context", id="missing-required"),
+            pytest.param(("family", "--model", "nakamura", "stray"), "unrecognized", id="stray-arg"),
+            pytest.param((), "command", id="no-command"),
+        ],
+    )
+    def test_one_line_exit_2(self, capsys, argv, fragment):
+        assert fragment in usage_error_line(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "target", ["missing/out.json", ".", "nul\0"], ids=["no-dir", "is-dir", "nul-byte"]
+    )
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        line = usage_error_line(
+            capsys, "family", "--model", "nakamura", "--out", str(tmp_path / target)
+        )
+        assert line.startswith("qcontext: error: cannot write --out: ")
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--model", "nakamura", "--context", "1", "--workers", "0"])
-        assert exc.value.code == 2
+            main(["simulate", "-h"])
+        assert exc.value.code == 0
+        assert "--samples" in capsys.readouterr().out
 
 
 class TestDilate:

