@@ -195,15 +195,9 @@ def cmd_simulate(args) -> int:
 
         seed = secrets.randbits(64)
     config = {
-        "command": "simulate",
-        "model": args.model,
-        "context": args.context,
+        **_config(args, "context", "state", "samples", "seed", "workers"),
         "state": [state.x, state.y, state.z],
-        "samples": args.samples,
         "seed": seed,
-        "workers": args.workers,
-        "format": args.format,
-        "out": args.out,
     }
     report = simulate_povm(
         family, context, state, args.samples, seed, workers=args.workers
@@ -226,7 +220,7 @@ def cmd_dilate(args) -> int:
     reports = [
         verify_dilation(sequential_dilation(family, i), family, i) for i in indices
     ]
-    passed = all(report.passed(ATOL) for report in reports)
+    passed = all(report.passed() for report in reports)
     payload = {
         "config": config,
         "family": family.name,

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bloch import ATOL, IDENTITY2
+from .ks import ContextHypergraph, enumerate_assignments
 from .povm import PovmFamily
 
 
@@ -135,8 +136,8 @@ class DilationReport:
         values.extend(self.filler_residuals)
         return max(values)
 
-    def passed(self, atol: float = ATOL) -> bool:
-        return self.max_residual <= atol
+    def passed(self) -> bool:
+        return self.max_residual <= ATOL
 
     def to_dict(self) -> dict:
         return {
@@ -277,34 +278,25 @@ def count_consistent_slot_assignments(family: PovmFamily) -> int:
     A sequential dilation is mismatch-free in the extension audit exactly when
     such a map exists, so a zero count is the exhaustive-slot-assignment form
     of the different-extensions result.
+
+    Such a map is an exact cover, counted by ks.enumerate_assignments: one
+    element "slot:key" per pair key and slot below its least context pair count,
+    one context per key (it takes one slot) and one per (context, slot) (its
+    pairs hold that slot once). Raises ValueError("search limit: ...") past
+    ks.SEARCH_LIMIT search nodes.
     """
-    all_pairs = [family.context_pairs(i) for i in range(len(family.contexts))]
-    keys = sorted({plus for pairs in all_pairs for plus, _ in pairs})
-    containing = {
-        key: [i for i, pairs in enumerate(all_pairs) if any(p == key for p, _ in pairs)]
-        for key in keys
-    }
-
-    def extend(position: int, assigned: dict[str, int]) -> int:
-        if position == len(keys):
-            return 1
-        key = keys[position]
-        total = 0
-        limit = min(len(all_pairs[c]) for c in containing[key])
-        for slot in range(limit):
-            clash = any(
-                assigned.get(other) == slot
-                for c in containing[key]
-                for other, _ in all_pairs[c]
-                if other in assigned
-            )
-            if not clash:
-                assigned[key] = slot
-                total += extend(position + 1, assigned)
-                del assigned[key]
-        return total
-
-    return extend(0, {})
+    context_keys = [[p for p, _ in family.context_pairs(i)] for i in range(len(family.contexts))]
+    limit: dict[str, int] = {}
+    for keys in context_keys:
+        for key in keys:
+            limit[key] = min(limit.get(key, len(keys)), len(keys))
+    covers = [[f"{slot}:{key}" for slot in range(n)] for key, n in limit.items()]
+    covers += [
+        [f"{slot}:{key}" for key in keys if slot < limit[key]]
+        for keys in context_keys
+        for slot in range(len(keys))
+    ]
+    return enumerate_assignments(ContextHypergraph.from_contexts(covers)).valid_count
 
 
 # --- one-to-one feasibility reasoner -------------------------------------

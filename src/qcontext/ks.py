@@ -5,7 +5,9 @@ An assignment is valid when every context contains exactly one element valued
 contexts. Both deciders live here: an exact-cover search (Knuth's Algorithm
 X, memoised on the covered contexts) that counts the valid assignments and
 finds the least one, and the counting (parity) obstruction that explains why
-the two measurement families admit none.
+the two measurement families admit none. The exact-cover search also decides
+slot-map consistency: dilation.count_consistent_slot_assignments reduces it
+to a hypergraph and counts that hypergraph's valid assignments here.
 """
 
 from __future__ import annotations

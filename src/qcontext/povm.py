@@ -173,9 +173,12 @@ class PovmFamily:
                 and all(_is_finite_number(c) for c in direction)
             ):
                 raise ValueError(f"{where} ({label}): 'direction' must be a list of 3 finite numbers")
+            # to_dict writes a weight as its nearest float, so a small
+            # denominator with that float is the weight written: 1/3 stays 1/3.
+            nearest = Fraction(weight).limit_denominator(10**6)
             elements[label] = PovmElement(
                 label=label,
-                weight=Fraction(str(weight)),
+                weight=nearest if float(nearest) == weight else Fraction(str(weight)),
                 direction=BlochVector.from_array(direction),
             )
         contexts = doc.get("contexts")

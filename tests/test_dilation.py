@@ -24,6 +24,7 @@ from qcontext import (
     validate_certificate,
     verify_dilation,
 )
+from qcontext import ks
 from qcontext.dilation import (
     RULE_CONFINEMENT,
     RULE_ZERO_TRACE,
@@ -88,7 +89,7 @@ class TestSequentialDilation:
         for family in (nakamura, cabello):
             for i in range(len(family.contexts)):
                 report = verify_dilation(sequential_dilation(family, i), family, i)
-                assert report.passed(ATOL), report.to_dict()
+                assert report.passed(), report.to_dict()
 
     def test_invalid_context_index(self, nakamura):
         with pytest.raises(ValueError, match="invalid context"):
@@ -163,7 +164,7 @@ class TestVerifyDilation:
             fillers=(filler,),
         )
         report = verify_dilation(scheme, nakamura, 0)
-        assert report.passed(ATOL), report.to_dict()
+        assert report.passed(), report.to_dict()
         assert report.filler_residuals == (0.0,)
 
 
@@ -399,6 +400,37 @@ def _reference_extension_audit(family, schemes) -> tuple[AuditEntry, ...]:
     return tuple(entries)
 
 
+def _reference_count_consistent_slot_assignments(family) -> int:
+    """The slot-map count by its own backtracking search over pair keys."""
+    all_pairs = [family.context_pairs(i) for i in range(len(family.contexts))]
+    keys = sorted({plus for pairs in all_pairs for plus, _ in pairs})
+    containing = {
+        key: [i for i, pairs in enumerate(all_pairs) if any(p == key for p, _ in pairs)]
+        for key in keys
+    }
+
+    def extend(position: int, assigned: dict[str, int]) -> int:
+        if position == len(keys):
+            return 1
+        key = keys[position]
+        total = 0
+        limit = min(len(all_pairs[c]) for c in containing[key])
+        for slot in range(limit):
+            clash = any(
+                assigned.get(other) == slot
+                for c in containing[key]
+                for other, _ in all_pairs[c]
+                if other in assigned
+            )
+            if not clash:
+                assigned[key] = slot
+                total += extend(position + 1, assigned)
+                del assigned[key]
+        return total
+
+    return extend(0, {})
+
+
 FAMILIES = (nakamura_family(), cabello_family())
 
 
@@ -522,6 +554,71 @@ class TestStackedMatchesReference:
     def test_extension_audit(self, case):
         family, schemes = case
         assert extension_audit(family, schemes) == _reference_extension_audit(family, schemes)
+
+
+def _restrictions(family):
+    indices = range(len(family.contexts))
+    for size in range(1, len(family.contexts) + 1):
+        for subset in itertools.combinations(indices, size):
+            yield family.restrict(subset)
+
+
+def _hand_built(contexts):
+    cabello = cabello_family()
+    return PovmFamily(name="hand-built", elements=dict(cabello.elements), contexts=contexts)
+
+
+# Built from cabello's antipodal pairs, with their counts worked by hand. Each
+# key's slot limit is the smallest pair count among its contexts, so unequal
+# counts restrict the slots, down to a context slot no key can take.
+HAND_BUILT = {
+    "unequal-pair-counts": (4, (
+        ("A+", "A-", "C+", "C-", "I+", "I-", "J+", "J-"),
+        ("A+", "A-", "D+", "D-"),
+        ("C+", "C-", "D+", "D-", "G+", "G-"),
+    )),
+    "unfillable-slot": (0, (
+        ("A+", "A-", "C+", "C-", "I+", "I-"),
+        ("A+", "A-"),
+        ("C+", "C-"),
+    )),
+    "empty-context": (144, (
+        ("A+", "A-", "C+", "C-", "I+", "I-", "J+", "J-"),
+        (),
+        ("A+", "A-", "D+", "D-", "G+", "G-", "H+", "H-"),
+    )),
+    "only-empty-context": (1, ((),)),
+    "one-context-two-orders": (24, (
+        ("A+", "A-", "C+", "C-", "I+", "I-", "J+", "J-"),
+        ("J+", "J-", "I+", "I-", "C+", "C-", "A+", "A-"),
+    )),
+}
+
+
+class TestSlotCountMatchesReference:
+    """The exact-cover reduction against the backtracking search, exactly."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_every_restriction(self, family):
+        counts = []
+        for sub in _restrictions(family):
+            count = count_consistent_slot_assignments(sub)
+            assert count == _reference_count_consistent_slot_assignments(sub), sub.name
+            counts.append(count)
+        assert len(counts) == 2 ** len(family.contexts) - 1
+        assert counts[-1] == 0 and max(counts) > 0
+
+    def test_search_limit(self, cabello, monkeypatch):
+        monkeypatch.setattr(ks, "SEARCH_LIMIT", 10)
+        with pytest.raises(ValueError, match="search limit"):
+            count_consistent_slot_assignments(cabello)
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built(self, name):
+        expected, contexts = HAND_BUILT[name]
+        family = _hand_built(contexts)
+        assert _reference_count_consistent_slot_assignments(family) == expected
+        assert count_consistent_slot_assignments(family) == expected
 
 
 class TestElementOperators:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,27 @@ class TestSerialization:
         assert rebuilt == family
         assert hash(rebuilt) == hash(family)
         assert len({family, rebuilt}) == 1
+
+    @pytest.mark.parametrize(
+        "weights", [(Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3))]
+    )
+    def test_thirds_survive_json_round_trip(self, nakamura, weights):
+        # A weight is written as its nearest float; 1/3 must come back as 1/3,
+        # not as the decimal 0.3333333333333333.
+        elements = {
+            label: replace(element, weight=weights[label.endswith("-")])
+            for label, element in nakamura.elements.items()
+        }
+        family = replace(nakamura, elements=elements)
+        rebuilt = PovmFamily.from_json(family.to_json())
+        assert rebuilt == family
+        assert hash(rebuilt) == hash(family)
+        assert {e.weight for e in rebuilt.elements.values()} == set(weights)
+
+    def test_weight_without_small_denominator_keeps_its_decimal(self, nakamura):
+        doc = nakamura.to_dict()
+        doc["elements"][0]["weight"] = 0.1234567
+        assert PovmFamily.from_dict(doc).elements["A+"].weight == Fraction("0.1234567")
 
     def test_hash_agrees_with_equality_across_element_order(self, nakamura):
         reordered = PovmFamily(
