@@ -8,6 +8,12 @@ the extended projectors an element receives in its two contexts, and
 machine-checks that no slot assignment — indeed no one-to-one projector
 correspondence at all — can serve both families.
 
+The one-to-one reasoner is one derivation per element over a
+``ConstraintGraph``, whose only data are the per-context completeness
+groups: it computes the element's confinements and its route (direct, or
+intersection with its eliminations), then emits every certificate step
+through one step function.
+
 The numeric checks run on stacked projectors: a context's projectors form
 one (M, 2N, 2N) array, so its partial traces, pairwise products and
 completeness sum are one numpy call each, as are the differences of the
@@ -18,7 +24,9 @@ call per projector (or pair), so every residual is bit-for-bit the same.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -134,7 +142,8 @@ class DilationReport:
         values = [self.orthogonality_residual, self.completeness_residual]
         values.extend(self.element_residuals.values())
         values.extend(self.filler_residuals)
-        return max(values)
+        # max() keeps a NaN only when it comes first; any NaN must fail passed().
+        return math.nan if any(math.isnan(v) for v in values) else max(values)
 
     def passed(self) -> bool:
         return self.max_residual <= ATOL
@@ -155,6 +164,8 @@ def verify_dilation(
 ) -> DilationReport:
     """Check a scheme against its context: recovered elements, silent fillers,
     mutual orthogonality, and completeness on the extended space."""
+    if not 0 <= context_index < len(family.contexts):
+        raise ValueError(f"invalid context index {context_index}")
     context = family.contexts[context_index]
     scheme_labels = [label for label, _ in scheme.projectors]
     if sorted(scheme_labels) != sorted(context):
@@ -242,6 +253,8 @@ def extension_audit(
     """
     if len(schemes) != len(family.contexts):
         raise ValueError("incomparable schemes: need one scheme per context")
+    if not schemes:
+        return ()
     first = schemes[0]
     for scheme in schemes[1:]:
         if scheme.ancilla_dim != first.ancilla_dim or np.max(
@@ -318,45 +331,43 @@ def filler_atom(context_index: int) -> str:
 class ConstraintGraph:
     """Symbolic skeleton of the one-to-one hypothesis for a family.
 
-    One atom per element (the hypothesis: a single projector serves both of
-    its contexts) plus one filler per context, constrained by zero POVM
-    contribution. Orthogonality pairs are those implied by shared-context
-    membership.
+    One completeness group per context: its element atoms (the hypothesis:
+    a single projector serves every context of its element) plus the
+    context's filler. Everything else is derived from the groups: the
+    fillers are the zero-trace atoms (no POVM contribution), and two atoms
+    are orthogonal when they are distinct members of one group.
     """
 
-    atoms: tuple[str, ...]
     completeness_groups: tuple[tuple[str, ...], ...]
-    orthogonal_pairs: frozenset[tuple[str, str]]
-    zero_trace: frozenset[str]
 
     @classmethod
     def from_family(cls, family: PovmFamily) -> "ConstraintGraph":
-        groups = tuple(
-            tuple(element_atom(label) for label in context) + (filler_atom(i),)
-            for i, context in enumerate(family.contexts)
-        )
-        orthogonal = set()
-        for group in groups:
-            for a, b in itertools.combinations(group, 2):
-                orthogonal.add(tuple(sorted((a, b))))
-        atoms = tuple(sorted(element_atom(l) for l in family.elements)) + tuple(
-            filler_atom(i) for i in range(len(family.contexts))
-        )
         return cls(
-            atoms=atoms,
-            completeness_groups=groups,
-            orthogonal_pairs=frozenset(orthogonal),
-            zero_trace=frozenset(filler_atom(i) for i in range(len(family.contexts))),
+            tuple(
+                tuple(element_atom(label) for label in context) + (filler_atom(i),)
+                for i, context in enumerate(family.contexts)
+            )
         )
 
-    def orthogonal(self, a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in self.orthogonal_pairs
+    @property
+    def zero_trace(self) -> frozenset[str]:
+        return frozenset(filler_atom(i) for i in range(len(self.completeness_groups)))
+
+    @cached_property
+    def _groups_of(self) -> dict[str, set[int]]:
+        """The indices of the groups each atom is in, built once per graph."""
+        groups: dict[str, set[int]] = {}
+        for i, group in enumerate(self.completeness_groups):
+            for atom in group:
+                groups.setdefault(atom, set()).add(i)
+        return groups
 
     def shared_context(self, a: str, b: str) -> int | None:
-        for i, group in enumerate(self.completeness_groups):
-            if a in group and b in group:
-                return i
-        return None
+        """The first group holding both atoms, or None."""
+        return min(self._groups_of.get(a, set()) & self._groups_of.get(b, set()), default=None)
+
+    def orthogonal(self, a: str, b: str) -> bool:
+        return a != b and self.shared_context(a, b) is not None
 
 
 @dataclass(frozen=True)
@@ -392,133 +403,108 @@ class ContradictionCertificate:
         }
 
 
-class _CertificateBuilder:
-    """Emits steps in derivation order, deduplicating the shared-context facts."""
-
-    def __init__(self):
-        self.steps: list[CertificateStep] = []
-        self._context_steps: dict[int, int] = {}
-
-    def _append(self, rule, premises, conclusion) -> int:
-        index = len(self.steps) + 1
-        self.steps.append(CertificateStep(index, rule, tuple(premises), conclusion))
-        return index
-
-    def mutual_orthogonality(self, graph: ConstraintGraph, context_index: int) -> int:
-        if context_index not in self._context_steps:
-            members = ", ".join(graph.completeness_groups[context_index])
-            self._context_steps[context_index] = self._append(
-                RULE_ORTHOGONALITY,
-                [f"context:{context_index + 1}"],
-                f"members of context {context_index + 1} are mutually orthogonal: {members}",
-            )
-        return self._context_steps[context_index]
-
-    def confinement(self, atom, within, context_index, orthogonality_steps) -> int:
-        span = " + ".join(within)
-        premises = [f"context:{context_index + 1}"]
-        premises += [f"step:{i}" for i in orthogonality_steps]
-        return self._append(
-            RULE_CONFINEMENT,
-            premises,
-            f"{atom} confined in {span} (completeness of context {context_index + 1})",
-        )
-
-    def refined_confinement(self, atom, within, conf_steps, orthogonality_steps) -> int:
-        span = " + ".join(within)
-        premises = [f"step:{i}" for i in conf_steps]
-        premises += [f"step:{i}" for i in orthogonality_steps]
-        return self._append(
-            RULE_CONFINEMENT,
-            premises,
-            f"{atom} confined in {span} (intersection of the confinements)",
-        )
-
-    def contradiction(self, label, atom, weight, within, conf_step) -> None:
-        premises = [f"step:{conf_step}"]
-        premises += [f"zero-trace:{f}" for f in within]
-        premises.append(f"element:{label}")
-        self._append(
-            RULE_ZERO_TRACE,
-            premises,
-            f"{atom} is confined in zero-contribution projectors, forcing a zero "
-            f"POVM contribution, but element {label} has weight {weight} > 0",
-        )
-
-
 def _contradiction_for(
     graph: ConstraintGraph, family: PovmFamily, label: str
 ) -> ContradictionCertificate | None:
     atom = element_atom(label)
-    containing = [i for i, g in enumerate(graph.completeness_groups) if atom in g]
-    foreign = [i for i in range(len(graph.completeness_groups)) if atom not in graph.completeness_groups[i]]
+    groups = graph.completeness_groups
+    zero_trace = graph.zero_trace
 
+    # Each context without the atom confines it in the members it is not
+    # orthogonal to, when that drops at least one member.
     confinements = []
-    for c in foreign:
-        group = graph.completeness_groups[c]
-        remainder = tuple(x for x in group if not graph.orthogonal(atom, x))
-        if len(remainder) < len(group):
-            confinements.append((c, remainder))
+    for c, group in enumerate(groups):
+        if atom not in group:
+            remainder = tuple(x for x in group if not graph.orthogonal(atom, x))
+            if len(remainder) < len(group):
+                confinements.append((c, remainder))
 
-    def build(conf_subset, refined_within, eliminations):
-        builder = _CertificateBuilder()
-        base_steps = [builder.mutual_orthogonality(graph, c) for c in containing]
-        conf_steps = [
-            builder.confinement(atom, remainder, c, base_steps)
-            for c, remainder in conf_subset
-        ]
-        if refined_within is None:
-            final_conf, within = conf_steps[-1], conf_subset[-1][1]
-        else:
-            orth_steps = sorted(
-                {
-                    builder.mutual_orthogonality(graph, ctx)
-                    for contexts in eliminations.values()
-                    for ctx in contexts
-                }
-            )
-            final_conf = builder.refined_confinement(
-                atom, refined_within, conf_steps, orth_steps
-            )
-            within = refined_within
-        builder.contradiction(label, atom, family.elements[label].weight, within, final_conf)
-        return ContradictionCertificate(
-            family=family.name, element=label, steps=tuple(builder.steps)
-        )
-
-    # Direct route: some context's remainder is already all zero-trace.
-    for c, remainder in confinements:
-        if set(remainder) <= graph.zero_trace:
-            return build([(c, remainder)], None, None)
-
-    # Intersection route: eliminate every non-filler atom that is orthogonal to
-    # the whole non-filler part of a confinement it does not appear in.
-    if len(confinements) >= 2:
+    # The route: the confinements the proof cites, the final span and the
+    # blockers it eliminates, each with the contexts that justify it.
+    eliminations: dict[str, list[int]] = {}
+    direct = next(((c, rem) for c, rem in confinements if set(rem) <= zero_trace), None)
+    if direct is not None:
+        # Direct route: some context's remainder is already all zero-trace.
+        cited, within = [direct], direct[1]
+    elif len(confinements) >= 2:
+        # Intersection route: eliminate every non-filler atom that is
+        # orthogonal to the whole non-filler part of a confinement it does
+        # not appear in.
         union = sorted({x for _, rem in confinements for x in rem})
-        blockers = [x for x in union if x not in graph.zero_trace]
-        eliminations: dict[str, list[int]] = {}
-        for q in blockers:
-            for c, remainder in confinements:
-                others = [x for x in remainder if x not in graph.zero_trace]
+        for q in union:
+            if q in zero_trace:
+                continue
+            for _, remainder in confinements:
+                others = [x for x in remainder if x not in zero_trace]
                 if q not in remainder and all(graph.orthogonal(q, x) for x in others):
-                    contexts = [graph.shared_context(q, x) for x in others]
-                    if all(ctx is not None for ctx in contexts):
-                        eliminations[q] = sorted(set(contexts))
-                        break
-        refined = tuple(x for x in union if x in graph.zero_trace or x not in eliminations)
-        if set(refined) <= graph.zero_trace:
-            return build(confinements, refined, eliminations)
+                    eliminations[q] = sorted({graph.shared_context(q, x) for x in others})
+                    break
+        cited, within = confinements, tuple(x for x in union if x not in eliminations)
+        if not set(within) <= zero_trace:
+            return None
+    else:
+        return None
 
-    return None
+    steps: list[CertificateStep] = []
+    context_steps: dict[int, int] = {}
+
+    def step(rule: str, premises: list[str], conclusion: str) -> int:
+        steps.append(CertificateStep(len(steps) + 1, rule, tuple(premises), conclusion))
+        return len(steps)
+
+    def orthogonality(c: int) -> int:
+        if c not in context_steps:
+            members = ", ".join(groups[c])
+            context_steps[c] = step(
+                RULE_ORTHOGONALITY,
+                [f"context:{c + 1}"],
+                f"members of context {c + 1} are mutually orthogonal: {members}",
+            )
+        return context_steps[c]
+
+    def confinement(premises: list[str], span: Sequence[str], reason: str) -> int:
+        return step(RULE_CONFINEMENT, premises, f"{atom} confined in {' + '.join(span)} ({reason})")
+
+    base = [f"step:{orthogonality(c)}" for c, group in enumerate(groups) if atom in group]
+    confined = [
+        confinement([f"context:{c + 1}", *base], remainder, f"completeness of context {c + 1}")
+        for c, remainder in cited
+    ]
+    final = confined[-1]
+    if eliminations:
+        # Only the intersection route eliminates, and it always must: each of
+        # its confinements holds a non-filler atom.
+        justified = sorted({orthogonality(c) for cs in eliminations.values() for c in cs})
+        final = confinement(
+            [f"step:{i}" for i in confined + justified], within, "intersection of the confinements"
+        )
+    step(
+        RULE_ZERO_TRACE,
+        [f"step:{final}", *(f"zero-trace:{f}" for f in within), f"element:{label}"],
+        f"{atom} is confined in zero-contribution projectors, forcing a zero "
+        f"POVM contribution, but element {label} has weight "
+        f"{family.elements[label].weight} > 0",
+    )
+    return ContradictionCertificate(family=family.name, element=label, steps=tuple(steps))
 
 
 def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | None:
     """Test the hypothesis that every element keeps one extended projector.
 
-    Builds the symbolic constraint graph (atoms, per-context completeness,
-    shared-context orthogonality, zero-trace fillers) and saturates the
-    deduction rules; returns the first contradiction certificate in element
-    label order, or None when the hypothesis survives (feasible).
+    Builds the symbolic constraint graph (one completeness group per
+    context: its element atoms plus a zero-trace filler; members of a group
+    are mutually orthogonal) and runs one derivation per element, in label
+    order; returns the first contradiction certificate, or None when the
+    hypothesis survives (feasible).
+
+    The derivation confines the element's atom in every context it is not
+    in, then takes one of two routes. Direct: one confinement is already all
+    fillers. Intersection: every non-filler atom of the confinements is
+    eliminated, each by the contexts that make it orthogonal to the whole
+    non-filler part of a confinement it is absent from, which leaves fillers
+    only. Either route's steps come from one emitter: the orthogonality of
+    each context once, the confinements, for the intersection route the
+    refined confinement, then the zero-trace contradiction.
 
     Soundness of the zero-trace rule: confinement in a sum of mutually
     orthogonal projectors is an operator inequality, and the ancilla partial
@@ -545,6 +531,8 @@ def validate_certificate(cert: ContradictionCertificate, family: PovmFamily) -> 
     Every premise must be an earlier step or a declared input fact, and the
     final step must name an element with positive weight.
     """
+    if not cert.steps:
+        raise ValueError("certificate has no steps")
     known_rules = {RULE_ORTHOGONALITY, RULE_CONFINEMENT, RULE_ZERO_TRACE}
     for position, step in enumerate(cert.steps, start=1):
         if step.index != position:
@@ -555,6 +543,8 @@ def validate_certificate(cert: ContradictionCertificate, family: PovmFamily) -> 
             kind, _, value = premise.partition(":")
             if kind not in _PREMISE_KINDS:
                 raise ValueError(f"unknown premise kind {premise!r}")
+            if kind in ("step", "context") and not value.isdecimal():
+                raise ValueError(f"step {position} has malformed premise {premise!r}")
             if kind == "step" and not 1 <= int(value) < position:
                 raise ValueError(f"step {position} cites non-preceding {premise!r}")
             if kind == "context" and not 1 <= int(value) <= len(family.contexts):

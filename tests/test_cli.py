@@ -372,14 +372,15 @@ class TestAudit:
 
 
 class TestPinnedDilationOutputs:
-    """``dilate`` and ``audit`` output, byte for byte. A change that moves any
-    residual's last bit must update these files and say so."""
+    """``dilate``, ``audit`` and ``feasibility`` output, byte for byte. A change
+    that moves any residual's last bit or any certificate step must update
+    these files and say so."""
 
-    @pytest.mark.parametrize("command", ["dilate", "audit"])
+    @pytest.mark.parametrize("command", ["dilate", "audit", "feasibility"])
     @pytest.mark.parametrize("model", ["nakamura", "cabello"])
     def test_output(self, capsys, command, model):
         code, out = run_cli(capsys, command, "--model", model)
-        assert code == 0
+        assert code == (3 if command == "feasibility" else 0)
         assert out == (PINNED_DIR / f"{command}-{model}.json").read_text()
 
 

@@ -1,6 +1,8 @@
 import itertools
 import json
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,10 +27,16 @@ from qcontext import (
     verify_dilation,
 )
 from qcontext import ks
+from qcontext.bloch import BlochVector
 from qcontext.dilation import (
     RULE_CONFINEMENT,
+    RULE_ORTHOGONALITY,
     RULE_ZERO_TRACE,
+    CertificateStep,
     ConstraintGraph,
+    ContradictionCertificate,
+    element_atom,
+    filler_atom,
     uniform_ancilla_state,
 )
 from qcontext.povm import PovmFamily
@@ -141,6 +149,21 @@ class TestVerifyDilation:
         with pytest.raises(ValueError, match="invalid scheme"):
             verify_dilation(scheme, nakamura, 1)
 
+    def test_nan_residual_fails(self, nakamura):
+        # max() would drop these NaNs behind the finite first residual.
+        scheme = sequential_dilation(nakamura, 0)
+        broken = replace(scheme, ancilla_state=np.full((2, 2), np.nan))
+        report = verify_dilation(broken, nakamura, 0)
+        assert all(math.isnan(r) for r in report.element_residuals.values())
+        assert math.isnan(report.max_residual)
+        assert not report.passed()
+
+    @pytest.mark.parametrize("index", [-3, -1, 3])
+    def test_context_index_out_of_range(self, nakamura, index):
+        scheme = sequential_dilation(nakamura, 0)
+        with pytest.raises(ValueError, match=f"invalid context index {index}"):
+            verify_dilation(scheme, nakamura, index)
+
     def test_fillers_report_their_contribution(self, nakamura):
         # Add an explicit filler on an extended (dim 8) space: slots 0,1 carry
         # the pairs, slot 2 is dead weight orthogonal to the ancilla state.
@@ -215,6 +238,9 @@ class TestExtensionAudit:
         sub = nakamura.restrict([0])
         entries = extension_audit(sub, [sequential_dilation(sub, 0)])
         assert entries == ()
+
+    def test_family_without_contexts_has_empty_report(self):
+        assert extension_audit(PovmFamily("x", {}, ()), []) == ()
 
     def test_incomparable_ancilla_states_rejected(self, nakamura):
         schemes = [sequential_dilation(nakamura, i) for i in range(3)]
@@ -321,6 +347,21 @@ class TestOneToOneFeasibility:
         assert doc["verdict"] == "contradiction"
         assert doc["family"] == "nakamura"
         assert all({"index", "rule", "premises", "conclusion"} <= set(s) for s in doc["steps"])
+
+
+class TestValidatorRejectsMalformed:
+    def test_no_steps(self, nakamura):
+        cert = one_to_one_feasibility(nakamura)
+        with pytest.raises(ValueError, match="certificate has no steps"):
+            validate_certificate(replace(cert, steps=()), nakamura)
+
+    @pytest.mark.parametrize("premise", ["step:x", "context:x", "step:", "context:-1"])
+    def test_malformed_number_names_the_premise(self, nakamura, premise):
+        cert = one_to_one_feasibility(nakamura)
+        first = replace(cert.steps[0], premises=(premise,))
+        broken = replace(cert, steps=(first,) + cert.steps[1:])
+        with pytest.raises(ValueError, match=f"step 1 has malformed premise '{premise}'"):
+            validate_certificate(broken, nakamura)
 
 
 class TestUniformAncilla:
@@ -636,3 +677,287 @@ class TestElementOperators:
                     op[0, 0] = 0.0
             assert fresh.operator is fresh.operator
             assert fresh.projector is fresh.projector
+
+
+# --- the one-to-one reasoner as first written: a ConstraintGraph with a second
+# copy of its groups as orthogonal pairs, and a certificate builder with two
+# confinement emitters. one_to_one_feasibility must give the same certificate.
+
+
+@dataclass(frozen=True)
+class _ReferenceConstraintGraph:
+    """Symbolic skeleton of the one-to-one hypothesis for a family.
+
+    One atom per element (the hypothesis: a single projector serves both of
+    its contexts) plus one filler per context, constrained by zero POVM
+    contribution. Orthogonality pairs are those implied by shared-context
+    membership.
+    """
+
+    atoms: tuple[str, ...]
+    completeness_groups: tuple[tuple[str, ...], ...]
+    orthogonal_pairs: frozenset[tuple[str, str]]
+    zero_trace: frozenset[str]
+
+    @classmethod
+    def from_family(cls, family: PovmFamily) -> "_ReferenceConstraintGraph":
+        groups = tuple(
+            tuple(element_atom(label) for label in context) + (filler_atom(i),)
+            for i, context in enumerate(family.contexts)
+        )
+        orthogonal = set()
+        for group in groups:
+            for a, b in itertools.combinations(group, 2):
+                orthogonal.add(tuple(sorted((a, b))))
+        atoms = tuple(sorted(element_atom(l) for l in family.elements)) + tuple(
+            filler_atom(i) for i in range(len(family.contexts))
+        )
+        return cls(
+            atoms=atoms,
+            completeness_groups=groups,
+            orthogonal_pairs=frozenset(orthogonal),
+            zero_trace=frozenset(filler_atom(i) for i in range(len(family.contexts))),
+        )
+
+    def orthogonal(self, a: str, b: str) -> bool:
+        return tuple(sorted((a, b))) in self.orthogonal_pairs
+
+    def shared_context(self, a: str, b: str) -> int | None:
+        for i, group in enumerate(self.completeness_groups):
+            if a in group and b in group:
+                return i
+        return None
+
+
+
+class _ReferenceCertificateBuilder:
+    """Emits steps in derivation order, deduplicating the shared-context facts."""
+
+    def __init__(self):
+        self.steps: list[CertificateStep] = []
+        self._context_steps: dict[int, int] = {}
+
+    def _append(self, rule, premises, conclusion) -> int:
+        index = len(self.steps) + 1
+        self.steps.append(CertificateStep(index, rule, tuple(premises), conclusion))
+        return index
+
+    def mutual_orthogonality(self, graph: _ReferenceConstraintGraph, context_index: int) -> int:
+        if context_index not in self._context_steps:
+            members = ", ".join(graph.completeness_groups[context_index])
+            self._context_steps[context_index] = self._append(
+                RULE_ORTHOGONALITY,
+                [f"context:{context_index + 1}"],
+                f"members of context {context_index + 1} are mutually orthogonal: {members}",
+            )
+        return self._context_steps[context_index]
+
+    def confinement(self, atom, within, context_index, orthogonality_steps) -> int:
+        span = " + ".join(within)
+        premises = [f"context:{context_index + 1}"]
+        premises += [f"step:{i}" for i in orthogonality_steps]
+        return self._append(
+            RULE_CONFINEMENT,
+            premises,
+            f"{atom} confined in {span} (completeness of context {context_index + 1})",
+        )
+
+    def refined_confinement(self, atom, within, conf_steps, orthogonality_steps) -> int:
+        span = " + ".join(within)
+        premises = [f"step:{i}" for i in conf_steps]
+        premises += [f"step:{i}" for i in orthogonality_steps]
+        return self._append(
+            RULE_CONFINEMENT,
+            premises,
+            f"{atom} confined in {span} (intersection of the confinements)",
+        )
+
+    def contradiction(self, label, atom, weight, within, conf_step) -> None:
+        premises = [f"step:{conf_step}"]
+        premises += [f"zero-trace:{f}" for f in within]
+        premises.append(f"element:{label}")
+        self._append(
+            RULE_ZERO_TRACE,
+            premises,
+            f"{atom} is confined in zero-contribution projectors, forcing a zero "
+            f"POVM contribution, but element {label} has weight {weight} > 0",
+        )
+
+
+def _reference_contradiction_for(
+    graph: _ReferenceConstraintGraph, family: PovmFamily, label: str
+) -> ContradictionCertificate | None:
+    atom = element_atom(label)
+    containing = [i for i, g in enumerate(graph.completeness_groups) if atom in g]
+    foreign = [i for i in range(len(graph.completeness_groups)) if atom not in graph.completeness_groups[i]]
+
+    confinements = []
+    for c in foreign:
+        group = graph.completeness_groups[c]
+        remainder = tuple(x for x in group if not graph.orthogonal(atom, x))
+        if len(remainder) < len(group):
+            confinements.append((c, remainder))
+
+    def build(conf_subset, refined_within, eliminations):
+        builder = _ReferenceCertificateBuilder()
+        base_steps = [builder.mutual_orthogonality(graph, c) for c in containing]
+        conf_steps = [
+            builder.confinement(atom, remainder, c, base_steps)
+            for c, remainder in conf_subset
+        ]
+        if refined_within is None:
+            final_conf, within = conf_steps[-1], conf_subset[-1][1]
+        else:
+            orth_steps = sorted(
+                {
+                    builder.mutual_orthogonality(graph, ctx)
+                    for contexts in eliminations.values()
+                    for ctx in contexts
+                }
+            )
+            final_conf = builder.refined_confinement(
+                atom, refined_within, conf_steps, orth_steps
+            )
+            within = refined_within
+        builder.contradiction(label, atom, family.elements[label].weight, within, final_conf)
+        return ContradictionCertificate(
+            family=family.name, element=label, steps=tuple(builder.steps)
+        )
+
+    # Direct route: some context's remainder is already all zero-trace.
+    for c, remainder in confinements:
+        if set(remainder) <= graph.zero_trace:
+            return build([(c, remainder)], None, None)
+
+    # Intersection route: eliminate every non-filler atom that is orthogonal to
+    # the whole non-filler part of a confinement it does not appear in.
+    if len(confinements) >= 2:
+        union = sorted({x for _, rem in confinements for x in rem})
+        blockers = [x for x in union if x not in graph.zero_trace]
+        eliminations: dict[str, list[int]] = {}
+        for q in blockers:
+            for c, remainder in confinements:
+                others = [x for x in remainder if x not in graph.zero_trace]
+                if q not in remainder and all(graph.orthogonal(q, x) for x in others):
+                    contexts = [graph.shared_context(q, x) for x in others]
+                    if all(ctx is not None for ctx in contexts):
+                        eliminations[q] = sorted(set(contexts))
+                        break
+        refined = tuple(x for x in union if x in graph.zero_trace or x not in eliminations)
+        if set(refined) <= graph.zero_trace:
+            return build(confinements, refined, eliminations)
+
+    return None
+
+
+def _reference_one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | None:
+    """Test the hypothesis that every element keeps one extended projector.
+
+    Builds the symbolic constraint graph (atoms, per-context completeness,
+    shared-context orthogonality, zero-trace fillers) and saturates the
+    deduction rules; returns the first contradiction certificate in element
+    label order, or None when the hypothesis survives (feasible).
+
+    Soundness of the zero-trace rule: confinement in a sum of mutually
+    orthogonal projectors is an operator inequality, and the ancilla partial
+    trace against a fixed state is positive and linear, so a projector confined
+    in zero-contribution projectors contributes zero itself. The intersection
+    step follows the source argument: a non-filler blocker orthogonal to the
+    whole non-filler part of a confinement it is absent from cannot carry the
+    atom's range.
+    """
+    graph = _ReferenceConstraintGraph.from_family(family)
+    for label in sorted(family.elements):
+        certificate = _reference_contradiction_for(graph, family, label)
+        if certificate is not None:
+            return certificate
+    return None
+
+
+def _ordered_restrictions(family):
+    """Every non-empty sequence of distinct contexts, in every order."""
+    for size in range(1, len(family.contexts) + 1):
+        for order in itertools.permutations(range(len(family.contexts)), size):
+            yield family.restrict(order)
+
+
+def _same_certificate(family) -> ContradictionCertificate | None:
+    cert = one_to_one_feasibility(family)
+    reference = _reference_one_to_one_feasibility(family)
+    if reference is None:
+        assert cert is None, family.name
+    else:
+        assert cert is not None, family.name
+        assert cert.to_dict() == reference.to_dict(), family.name
+    return cert
+
+
+@st.composite
+def reasoner_families(draw):
+    """2-12 labels, 1-6 contexts of any size; a label may recur across contexts
+    and may be in none."""
+    n_labels = draw(st.integers(2, 12))
+    label_text = st.text(alphabet="ABCab+-", min_size=1, max_size=3)
+    labels = draw(st.lists(label_text, min_size=n_labels, max_size=n_labels, unique=True))
+    # Each label draws the contexts it is in, then each context lists its
+    # labels in any order.
+    n_contexts = draw(st.integers(1, 6))
+    membership = {label: draw(st.sets(st.integers(0, n_contexts - 1))) for label in labels}
+    contexts = tuple(
+        tuple(draw(st.permutations([label for label in labels if c in membership[label]])))
+        for c in range(n_contexts)
+    )
+    north = BlochVector(0.0, 0.0, 1.0)
+    elements = {
+        label: PovmElement(label, Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))), north)
+        for label in labels
+    }
+    return PovmFamily(name="random", elements=elements, contexts=tuple(contexts))
+
+
+@st.composite
+def thinned_cabello_families(draw):
+    """Two to five of cabello's contexts in any order, each with up to two
+    labels dropped: near the structure where the intersection route fires."""
+    cabello = cabello_family()
+    order = draw(st.permutations(range(len(cabello.contexts))))[: draw(st.integers(2, 5))]
+    contexts = []
+    for c in order:
+        dropped = draw(st.sets(st.sampled_from(cabello.contexts[c]), max_size=2))
+        contexts.append(tuple(label for label in cabello.contexts[c] if label not in dropped))
+    return PovmFamily(name="thinned", elements=dict(cabello.elements), contexts=tuple(contexts))
+
+
+class TestReasonerMatchesReference:
+    """The one-derivation reasoner against the reasoner as first written."""
+
+    def test_every_ordered_restriction(self):
+        restrictions = [sub for family in FAMILIES for sub in _ordered_restrictions(family)]
+        assert len(restrictions) == 340
+        certs = [cert for cert in map(_same_certificate, restrictions) if cert is not None]
+        intersections = [cert for cert in certs if "intersection" in cert.steps[-2].conclusion]
+        # Both routes are exercised: the direct route on nakamura's six
+        # orders of all three contexts, the intersection route on cabello's
+        # 120 orders of all five. Every proper restriction is feasible.
+        assert (len(certs), len(intersections)) == (126, 120)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reasoner_families())
+    def test_random_families(self, family):
+        cert = _same_certificate(family)
+        if cert is not None:
+            validate_certificate(cert, family)
+        graph = ConstraintGraph.from_family(family)
+        reference = _ReferenceConstraintGraph.from_family(family)
+        assert graph.completeness_groups == reference.completeness_groups
+        assert graph.zero_trace == reference.zero_trace
+        for a, b in itertools.product(reference.atoms, repeat=2):
+            assert graph.orthogonal(a, b) == reference.orthogonal(a, b)
+            assert graph.shared_context(a, b) == reference.shared_context(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(thinned_cabello_families())
+    def test_thinned_cabello(self, family):
+        cert = _same_certificate(family)
+        if cert is not None:
+            validate_certificate(cert, family)
