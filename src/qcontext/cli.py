@@ -8,6 +8,11 @@ Every usage error, argparse's own included, is a ``UsageError`` that ``main``
 prints as one ``qcontext: error:`` line, with exit 2; only ``-h`` exits by
 ``SystemExit``. Flag values are checked where argparse parses them, by their
 ``type=`` or ``choices`` (``--format csv`` is a ``simulate`` flag only).
+
+Each handler imports the numeric modules it uses. The module itself imports
+only the standard library, ``ks`` and the numpy-free ``tables``, and checks
+``--model``, ``--context`` and ``--samples`` against ``tables`` before any
+family is built, so ``ks-search`` and the usage errors never load numpy.
 """
 
 from __future__ import annotations
@@ -16,19 +21,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bloch import ATOL, BlochVector
-from .dilation import (
-    extension_audit,
-    one_to_one_feasibility,
-    sequential_dilation,
-    verify_dilation,
-)
-from .hv import MAX_SAMPLES, simulate_povm
 from .ks import ContextHypergraph, enumerate_assignments, parse_hypergraph
-from .povm import PovmFamily, cabello_family, check_completeness, nakamura_family
+from .tables import MAX_SAMPLES, MODEL_CONTEXTS
+
+if TYPE_CHECKING:  # imported for real inside the handlers: they load numpy
+    from .bloch import BlochVector
+    from .povm import PovmFamily
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,6 +63,8 @@ def _bounded_int(name: str, low: int, high: float = float("inf")):
 
 
 def _load_model(name: str) -> PovmFamily:
+    from .povm import cabello_family, nakamura_family
+
     return nakamura_family() if name == "nakamura" else cabello_family()
 
 
@@ -74,17 +76,18 @@ def _parse_state(text: str) -> BlochVector:
         x, y, z = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"unparseable state component in {text!r}") from exc
+    from .bloch import BlochVector
+
     try:
         return BlochVector.normalized(x, y, z)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _context_index(family: PovmFamily, context: int) -> int:
-    if not 1 <= context <= len(family.contexts):
-        raise UsageError(
-            f"context must be in 1..{len(family.contexts)} for {family.name}, got {context}"
-        )
+def _context_index(model: str, context: int) -> int:
+    count = len(MODEL_CONTEXTS[model])
+    if not 1 <= context <= count:
+        raise UsageError(f"context must be in 1..{count} for {model}, got {context}")
     return context - 1
 
 
@@ -117,6 +120,11 @@ def cmd_family(args) -> int:
 def cmd_check(args) -> int:
     if not (args.model or args.family_file):
         raise UsageError("check requires --model or --family-file")
+    import numpy as np
+
+    from .bloch import ATOL
+    from .povm import PovmFamily, check_completeness
+
     config = _config(args, "family_file")
     if args.model:
         family = _load_model(args.model)
@@ -170,8 +178,7 @@ def cmd_ks_search(args) -> int:
         raise UsageError("ks-search requires --model or --hypergraph")
     config = _config(args, "hypergraph", "workers")
     if args.model:
-        family = _load_model(args.model)
-        hypergraph = ContextHypergraph.from_contexts(family.contexts)
+        hypergraph = ContextHypergraph.from_contexts(MODEL_CONTEXTS[args.model])
     else:
         try:
             hypergraph = parse_hypergraph(Path(args.hypergraph).read_text())
@@ -186,9 +193,13 @@ def cmd_ks_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    context = _context_index(args.model, args.context)
+    from .hv import Z_LIMIT, simulate_povm
+
     family = _load_model(args.model)
-    context = _context_index(family, args.context)
-    state = args.state  # a BlochVector: --state is parsed by _parse_state
+    # An explicit --state is a BlochVector, parsed with argv; the default is
+    # parsed only here, so that a usage error never loads numpy.
+    state = _parse_state("0,0,1") if args.state is None else args.state
     seed = args.seed
     if seed is None:
         import secrets  # imported here: it would cost every CLI start ~6 ms
@@ -207,15 +218,17 @@ def cmd_simulate(args) -> int:
         _emit("\n".join(lines) + "\n" + report.to_csv(), args.out)
     else:
         _emit_json({"config": config, "report": report.to_dict()}, args.out)
-    return EXIT_OK if max(abs(z) for z in report.z_scores) <= 5.0 else EXIT_CHECK_FAILED
+    return EXIT_OK if max(abs(z) for z in report.z_scores) <= Z_LIMIT else EXIT_CHECK_FAILED
 
 
 def cmd_dilate(args) -> int:
-    family = _load_model(args.model)
     if args.context is None:
-        indices = range(len(family.contexts))
+        indices = range(len(MODEL_CONTEXTS[args.model]))
     else:
-        indices = [_context_index(family, args.context)]
+        indices = [_context_index(args.model, args.context)]
+    from .dilation import sequential_dilation, verify_dilation
+
+    family = _load_model(args.model)
     config = _config(args, "context")
     reports = [
         verify_dilation(sequential_dilation(family, i), family, i) for i in indices
@@ -232,6 +245,8 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .dilation import extension_audit, sequential_dilation
+
     family = _load_model(args.model)
     config = _config(args)
     schemes = [sequential_dilation(family, i) for i in range(len(family.contexts))]
@@ -247,6 +262,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
+    from .dilation import one_to_one_feasibility
+
     family = _load_model(args.model)
     certificate = one_to_one_feasibility(family)
     if certificate is None:
@@ -259,7 +276,7 @@ def cmd_feasibility(args) -> int:
 
 def _add_common(parser, model_required=True, formats=("json",), workers_help=None):
     parser.add_argument(
-        "--model", choices=["nakamura", "cabello"], required=model_required,
+        "--model", choices=list(MODEL_CONTEXTS), required=model_required,
         help="built-in measurement family",
     )
     parser.add_argument("--format", choices=formats, default="json")
@@ -296,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="hidden-variable Monte Carlo vs Born statistics")
     _add_common(p, formats=("json", "csv"), workers_help="parallel workers; never changes the output")
     p.add_argument("--context", type=int, required=True, help="context number, 1-based")
-    p.add_argument("--state", type=_parse_state, default="0,0,1",
+    p.add_argument("--state", type=_parse_state, default=None,
                    help="system direction x,y,z (normalized on ingest)")
     p.add_argument("--samples", type=_bounded_int("samples", 1, MAX_SAMPLES), default=1_000_000)
     p.add_argument("--seed", type=_bounded_int("seed", 0), default=None,

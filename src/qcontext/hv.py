@@ -26,6 +26,7 @@ import numpy as np
 
 from .bloch import BlochVector, projector_from_bloch
 from .povm import PovmFamily, born_probabilities
+from .tables import MAX_SAMPLES
 
 #: Fixed Monte Carlo shard size; substreams derive from (seed, shard index)
 #: alone, so reports are identical for any worker count.
@@ -34,10 +35,8 @@ SHARD_SIZE = 1 << 17
 #: reused from the allocator's free lists and stay in cache, while whole-shard
 #: ones (1-3 MiB) are mapped and page-faulted afresh on most shards.
 _BLOCK = 1 << 13
-#: Most samples one call may ask for. ``_sample`` builds its shard plan whole
-#: before any work starts, so the ceiling keeps that plan (and the pool's
-#: futures) at 2^15 entries; int64 counts stay far from overflow.
-MAX_SAMPLES = 1 << 32
+#: Largest |z| of a passing simulation: the 5-sigma acceptance rule.
+Z_LIMIT = 5.0
 
 _VALID_SLOT_COUNTS = (2, 4)
 
@@ -225,7 +224,9 @@ def simulate_povm(
     Each sample draws a hidden variable for the context's pair count; the
     ancilla value selects the slot pair and the sphere rule on that pair's "+"
     direction selects the sign. Counts merge over fixed-size shards, making
-    the report deterministic in (inputs, seed) for any worker count.
+    the report deterministic in (inputs, seed) for any worker count. The
+    model agrees with the Born rule when every |z| is at most ``Z_LIMIT``
+    (5 sigma); ``qcontext simulate`` exits 1 otherwise.
     """
     pairs = family.context_pairs(context_index)
     if len(pairs) not in _VALID_SLOT_COUNTS:

@@ -20,11 +20,8 @@ from .bloch import (
     is_density_operator,
     projector_from_bloch,
 )
-
-#: Letters per measurement, one row per context, for the 5x8 construction.
-CABELLO_CONTEXT_LETTERS = ("ACIJ", "ADGH", "BDFJ", "BEHI", "CEFG")
-#: Letters per measurement for the 3x4 construction.
-NAKAMURA_CONTEXT_LETTERS = ("AB", "AC", "BC")
+# Re-exported: the letter tables are public povm attributes too.
+from .tables import CABELLO_CONTEXT_LETTERS, MODEL_CONTEXTS, NAKAMURA_CONTEXT_LETTERS  # noqa: F401
 
 Context = tuple[str, ...]
 
@@ -213,17 +210,13 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _build_family(name, vertex_set, weight, context_letters) -> PovmFamily:
+def _build_family(name, vertex_set, weight) -> PovmFamily:
     elements = {}
     for letter in vertex_set.labels:
         for sign in "+-":
             label = f"{letter}{sign}"
             elements[label] = PovmElement(label, weight, vertex_set.direction(label))
-    contexts = tuple(
-        tuple(f"{letter}{sign}" for letter in row for sign in "+-")
-        for row in context_letters
-    )
-    return PovmFamily(name=name, elements=elements, contexts=contexts)
+    return PovmFamily(name=name, elements=elements, contexts=MODEL_CONTEXTS[name])
 
 
 def cabello_family() -> PovmFamily:
@@ -232,16 +225,12 @@ def cabello_family() -> PovmFamily:
     Context k points at the vertices of inscribed cube k, so each context sums
     to the identity and every element sits in exactly two contexts.
     """
-    return _build_family(
-        "cabello", dodecahedron_vertices(), Fraction(1, 4), CABELLO_CONTEXT_LETTERS
-    )
+    return _build_family("cabello", dodecahedron_vertices(), Fraction(1, 4))
 
 
 def nakamura_family() -> PovmFamily:
     """Six weight-1/2 elements on the hexagon, three 4-element contexts."""
-    return _build_family(
-        "nakamura", hexagon_vertices(), Fraction(1, 2), NAKAMURA_CONTEXT_LETTERS
-    )
+    return _build_family("nakamura", hexagon_vertices(), Fraction(1, 2))
 
 
 def check_completeness(context: Sequence[str], family: PovmFamily) -> float:

@@ -1,8 +1,5 @@
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,10 +9,9 @@ from qcontext import nakamura_family
 from qcontext.cli import main
 from qcontext.hv import MAX_SAMPLES
 
-from conftest import load_schema
+from conftest import load_schema, run_probe
 
 PINNED_DIR = Path(__file__).resolve().parent / "pinned"
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _malformed_families():
@@ -384,20 +380,59 @@ class TestPinnedDilationOutputs:
         assert out == (PINNED_DIR / f"{command}-{model}.json").read_text()
 
 
+#: Runs ``python -m qcontext.cli ARGV`` in the probe process, then reports the
+#: exit code and whether numpy was loaded as the last stderr line.
+CLI_PROBE = """
+import json, runpy, sys
+sys.argv = ["qcontext", *sys.argv[1:]]
+try:
+    runpy.run_module("qcontext.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
 class TestStartup:
     def test_import_skips_pool_and_secrets(self):
-        # The pool and secrets are imported where they are used, so a CLI
-        # start does not pay for them.
-        path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        # The pool, secrets and numpy are imported where they are used, so a
+        # CLI start does not pay for them.
         probe = (
-            "import sys, qcontext.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures', 'secrets'} & set(sys.modules)))"
+            "import sys, qcontext.cli; print(sorted("
+            "{'multiprocessing', 'concurrent.futures', 'secrets', 'numpy'} & set(sys.modules)))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[]"
+        assert run_probe(probe).stdout.strip() == "[]"
+
+    def test_package_import_loads_no_numpy(self):
+        probe = "import sys, qcontext; print('numpy' in sys.modules)"
+        assert run_probe(probe).stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv,expected_code",
+        [
+            pytest.param(("ks-search", "--model", "nakamura"), 3, id="ks-nakamura"),
+            pytest.param(("ks-search", "--model", "cabello"), 3, id="ks-cabello"),
+            pytest.param(("ks-search", "--hypergraph", "h.txt"), 0, id="ks-hypergraph"),
+            pytest.param(("simulate", "--model", "nakamura", "--context", "99",
+                          "--samples", "1000", "--seed", "1"), 2, id="context-99"),
+            pytest.param(("simulate", "--model", "cabello", "--context", "1",
+                          "--samples", "1000", "--seed", "1", "--state", "north,0,1"), 2,
+                         id="state-north"),
+            pytest.param(("simulate", "--model", "nakamura", "--context", "1",
+                          "--samples", "0", "--seed", "1"), 2, id="samples-0"),
+        ],
+    )
+    def test_non_numeric_command_loads_no_numpy(self, tmp_path, argv, expected_code):
+        (tmp_path / "h.txt").write_text("a,b\nc,d\na,c,e\n")
+        proc = run_probe(CLI_PROBE, *argv, cwd=tmp_path)
+        code, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert code == expected_code
+        assert not numpy_loaded
+
+    def test_numeric_command_still_runs_from_module(self):
+        proc = run_probe(CLI_PROBE, "family", "--model", "nakamura")
+        assert json.loads(proc.stderr) == [0, True]
+        assert json.loads(proc.stdout)["family"]["name"] == "nakamura"
 
     def test_seedless_simulate_still_draws_a_seed(self, capsys):
         code, doc = run_json(

@@ -84,6 +84,17 @@ class TestStructure:
         assert set(sub.elements) == {"A+", "A-", "B+", "B-"}
         assert sub.name == "nakamura[0]"
 
+    def test_model_tables_match_families(self, nakamura, cabello):
+        # The CLI range-checks --context and builds the ks-search --model
+        # hypergraph from these rows without building a family.
+        from qcontext import hv, povm, tables
+
+        assert tables.MODEL_CONTEXTS["nakamura"] == nakamura.contexts
+        assert tables.MODEL_CONTEXTS["cabello"] == cabello.contexts
+        assert povm.CABELLO_CONTEXT_LETTERS is tables.CABELLO_CONTEXT_LETTERS
+        assert povm.NAKAMURA_CONTEXT_LETTERS is tables.NAKAMURA_CONTEXT_LETTERS
+        assert hv.MAX_SAMPLES is tables.MAX_SAMPLES
+
 
 class TestCompleteness:
     def test_all_contexts_resolve_identity(self, nakamura, cabello):
