@@ -9,9 +9,12 @@ One kernel, ``_povm_shard``, samples a context of N pairs; the Bell marginal
 is its one-pair case. One runner, ``_sample``, shards and merges the counts.
 The kernel draws a Gaussian triple z per sample, so m = z/|z| is uniform on
 the sphere, but it never builds m: for |z| > 0 the sign of (z/|z| + n).v is
-the sign of z.v + |z|(n.v), so only the row norms are needed. It works
-through a shard in blocks of ``_BLOCK`` samples, drawing the same numbers as
-one whole-shard draw. ``_unit_sphere`` builds m explicitly for
+the sign of z.v + |z|(n.v), so only the row norms are needed; |z| is the
+square root of square(z) @ (1, 1, 1). It works through a shard in blocks of
+``_BLOCK`` samples, drawing the same numbers as one whole-shard draw. Per
+block it draws z into a reused buffer, writes each slot's projections z.v
+into one row of another and picks sample i's own with one ``take`` at flat
+index lam * (row length) + i. ``_unit_sphere`` builds m explicitly for
 ``sample_hidden_variable``.
 """
 
@@ -31,10 +34,12 @@ from .tables import MAX_SAMPLES
 #: Fixed Monte Carlo shard size; substreams derive from (seed, shard index)
 #: alone, so reports are identical for any worker count.
 SHARD_SIZE = 1 << 17
-#: Samples per block inside a shard. A block's temporaries (64-192 KiB) are
-#: reused from the allocator's free lists and stay in cache, while whole-shard
-#: ones (1-3 MiB) are mapped and page-faulted afresh on most shards.
-_BLOCK = 1 << 13
+#: Samples per block inside a shard. A block's temporaries (32 KiB per sample
+#: vector) and the shard's buffers, reused by every block (96 KiB for z,
+#: 32-128 KiB of projections for 1-4 slots), stay in cache, while whole-shard
+#: temporaries (1-4 MiB) are mapped and page-faulted afresh on most shards.
+#: 1 << 13 is no faster and holds 0.3 MiB more at a 4-slot shard's peak.
+_BLOCK = 1 << 12
 #: Largest |z| of a passing simulation: the 5-sigma acceptance rule.
 Z_LIMIT = 5.0
 
@@ -89,24 +94,34 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
     # integers(0, 1, ...) draws nothing, so a one-slot shard draws z alone.
     lams = rng.integers(0, n_slots, size=count)
     n_dots = plus_dirs @ n_arr
+    size = min(_BLOCK, count)
+    # Buffers every block reuses: z, and one row per slot k holding the
+    # block's projections onto slot k's "+" direction, so sample i's own
+    # projection sits at flat index lam[i] * size + i.
+    zbuf = np.empty((size, 3))
+    proj = np.empty((n_slots, size))
+    offsets = np.arange(size)
+    ones = np.ones(3)
     counts = np.zeros(2 * n_slots, dtype=np.int64)
     boundary = 0
     for start in range(0, count, _BLOCK):
         lam = lams[start : start + _BLOCK]
+        width = len(lam)
         # Successive standard_normal calls continue one stream, so drawing z
         # block by block gives the same z as drawing it whole.
-        z = rng.standard_normal((len(lam), 3))
+        z = rng.standard_normal(out=zbuf[:width])
         # m = z/|z| is never built: sign((z/|z| + n).d) = sign(z.d + |z|(n.d)).
-        # One matrix-vector product per slot, each written over the samples
-        # whose lam picks that slot: a gemm against plus_dirs.T would start
-        # BLAS threads inside every pool worker and oversubscribe the cores.
-        signed = z @ plus_dirs[0]
-        for k in range(1, n_slots):
-            np.copyto(signed, z @ plus_dirs[k], where=lam == k)
-        r = np.sqrt(np.einsum("ij,ij->i", z, z))
+        # One matrix-vector product per slot: a gemm against plus_dirs.T would
+        # start BLAS threads inside every pool worker and oversubscribe the cores.
+        for k in range(n_slots):
+            np.matmul(z, plus_dirs[k], out=proj[k, :width])
+        signed = proj.take(lam * size + offsets[:width])
+        # z is spent once projected, so its squares overwrite it.
+        r = np.square(z, out=z) @ ones
+        np.sqrt(r, out=r)
         # As in _unit_sphere: a zero triple (probability zero) counts as m = 0.
         r[r == 0] = 1.0
-        r *= n_dots[lam]
+        r *= n_dots.take(lam)
         signed += r
         # Outcome 1 picks the "+" element of the slot pair; the boundary counts as 0.
         counts += np.bincount(2 * lam + (signed <= 0), minlength=2 * n_slots)
@@ -119,10 +134,16 @@ def _sample(
 ) -> tuple[np.ndarray, int]:
     """Merged shard counts; shard k draws from substream (seed, k) alone, so
     the counts are the same for any worker count."""
+    # bool is an int subclass, so True would otherwise run one sample. A numpy
+    # integer is refused too: the report stores samples, and json cannot write one.
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise ValueError(f"samples must be an int, got {type(samples).__name__}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_arr = n.as_array()
     tasks = [
         (plus_dirs, n_arr, seed, k, min(SHARD_SIZE, samples - start))

@@ -134,6 +134,33 @@ class TestBellMarginal:
             simulate_povm(nakamura, 0, Z, MAX_SAMPLES + 1, seed=1, workers=2)
 
 
+def _simulate(nakamura, samples, workers):
+    return simulate_povm(nakamura, 0, Z, samples, seed=1, workers=workers)
+
+
+def _marginal(nakamura, samples, workers):
+    return bell_marginal_estimate(Z, Z, samples, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("run", [_simulate, _marginal])
+class TestSampleArguments:
+    """Both entry points reach the one runner, which names the bad argument."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, nakamura, run, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run(nakamura, 1000, workers)
+
+    def test_rejects_bool_samples(self, nakamura, run):
+        with pytest.raises(ValueError, match="samples"):
+            run(nakamura, True, 1)
+
+    @pytest.mark.parametrize("samples", [10.5, 1000.0, "1000", None, np.int64(1000)])
+    def test_rejects_non_int_samples(self, nakamura, run, samples):
+        with pytest.raises(ValueError, match="samples"):
+            run(nakamura, samples, 1)
+
+
 class TestSimulatePovm:
     def test_nakamura_aligned_state(self, nakamura):
         report = simulate_povm(nakamura, 0, Z, 1_000_000, seed=42)
@@ -166,6 +193,13 @@ class TestSimulatePovm:
         one = simulate_povm(cabello, 1, n, 600_000, seed=21, workers=1)
         four = simulate_povm(cabello, 1, n, 600_000, seed=21, workers=4)
         assert one.to_json() == four.to_json()
+
+    def test_worker_count_invariance_with_short_last_shard(self, cabello):
+        # The last shard holds 5 samples, fewer than one block.
+        n = BlochVector.normalized(-0.7, 0.1, 0.4)
+        one = simulate_povm(cabello, 0, n, SHARD_SIZE + 5, seed=31, workers=1)
+        two = simulate_povm(cabello, 0, n, SHARD_SIZE + 5, seed=31, workers=2)
+        assert one.to_json() == two.to_json()
 
     def test_invalid_inputs(self, nakamura):
         with pytest.raises(ValueError):
@@ -220,7 +254,10 @@ def shard_tasks(draw):
         n_arr = cross / np.linalg.norm(cross)
     seed = draw(st.integers(0, 2**63 - 1))
     shard_index = draw(st.integers(0, 10_000))
-    count = draw(st.sampled_from([1, 2, 997, 2 * _BLOCK + 3, SHARD_SIZE]))
+    # _BLOCK - 1 is a shard below one block; _BLOCK + 1 ends on a one-sample block.
+    count = draw(
+        st.sampled_from([1, 2, 997, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, SHARD_SIZE])
+    )
     return plus_dirs, n_arr, seed, shard_index, count
 
 
