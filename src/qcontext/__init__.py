@@ -34,7 +34,6 @@ __all__ = [
     "SimulationReport",
     "VertexSet",
     "bell_marginal_estimate",
-    "bell_outcome",
     "born_probabilities",
     "born_probability",
     "cabello_family",
@@ -53,9 +52,7 @@ __all__ = [
     "partial_trace_over_ancilla",
     "povm_contribution",
     "projector_from_bloch",
-    "sample_hidden_variable",
     "sequential_dilation",
-    "shuffle_identity_check",
     "simulate_povm",
     "validate_certificate",
     "verify_dilation",

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tables import CABELLO_CONTEXT_LETTERS
+
 #: Tolerance for closed-form algebraic identities in double precision.
 ATOL = 1e-12
 
@@ -69,9 +71,6 @@ class BlochVector:
 
     def antipode(self) -> "BlochVector":
         return BlochVector(-self.x, -self.y, -self.z)
-
-    def __neg__(self) -> "BlochVector":
-        return self.antipode()
 
 
 def projector_from_bloch(v: BlochVector) -> np.ndarray:
@@ -186,22 +185,6 @@ def inscribed_cubes(vs: VertexSet) -> tuple[tuple[int, ...], ...]:
     return tuple(cubes)
 
 
-# Letter for each unordered pair of cube/context indices, following the
-# published five-measurement listing (row k <-> cube k).
-_CUBE_PAIR_LETTERS = {
-    frozenset({0, 1}): "A",
-    frozenset({2, 3}): "B",
-    frozenset({0, 4}): "C",
-    frozenset({1, 2}): "D",
-    frozenset({3, 4}): "E",
-    frozenset({2, 4}): "F",
-    frozenset({1, 4}): "G",
-    frozenset({1, 3}): "H",
-    frozenset({0, 3}): "I",
-    frozenset({0, 2}): "J",
-}
-
-
 def dodecahedron_vertices() -> VertexSet:
     """Twenty unit vertices of the regular dodecahedron, paired and labeled A..J.
 
@@ -225,10 +208,16 @@ def dodecahedron_vertices() -> VertexSet:
     if len(cubes) != 5:
         raise ValueError("structure not found: dodecahedron cube search failed")
 
+    # Each letter sits in exactly two rows of the published listing; a pair
+    # takes the letter of the two rows whose cubes hold it.
+    letter_of_rows = {
+        frozenset(k for k, row in enumerate(CABELLO_CONTEXT_LETTERS) if letter in row): letter
+        for letter in set("".join(CABELLO_CONTEXT_LETTERS))
+    }
     labeled: list[tuple[str, tuple[int, int]]] = []
     for i, j in pairs:
         membership = frozenset(k for k, cube in enumerate(cubes) if i in cube)
-        letter = _CUBE_PAIR_LETTERS[membership]
+        letter = letter_of_rows[membership]
         plus, minus = (i, j) if tuple(coords[i]) > tuple(coords[j]) else (j, i)
         labeled.append((letter, (plus, minus)))
     labeled.sort()

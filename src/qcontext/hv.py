@@ -1,9 +1,11 @@
 """Noncontextual hidden-variable model for the dilated measurements.
 
-A sample carries a discrete ancilla value (which antipodal pair fires) and a
-uniform Bloch-sphere vector m driving the sphere-model outcome rule: projector
-V along v takes value 1 exactly when (m + n).v > 0 for system direction n.
-Monte Carlo aggregation checks the model against Born-rule statistics.
+A sample is an ancilla value lam, which picks one antipodal pair (slot) per
+context, and a uniform Bloch-sphere vector m, which picks that pair's sign:
+the "+" projector along v takes value 1 exactly when (m + n).v > 0 for
+system direction n, and the measure-zero boundary gives "-".
+``noncontextual_value_map`` applies that rule to one sample; Monte Carlo
+aggregation checks the model against Born-rule statistics.
 
 One kernel, ``_povm_shard``, samples a context of N pairs; the Bell marginal
 is its one-pair case. One runner, ``_sample``, shards and merges the counts.
@@ -14,8 +16,7 @@ square root of square(z) @ (1, 1, 1). It works through a shard in blocks of
 ``_BLOCK`` samples, drawing the same numbers as one whole-shard draw. Per
 block it draws z into a reused buffer, writes each slot's projections z.v
 into one row of another and picks sample i's own with one ``take`` at flat
-index lam * (row length) + i. ``_unit_sphere`` builds m explicitly for
-``sample_hidden_variable``.
+index lam * (row length) + i.
 """
 
 from __future__ import annotations
@@ -52,34 +53,6 @@ class HiddenVariable:
 
     lam: int
     m: BlochVector
-
-
-def _unit_sphere(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform points on the unit sphere via normalized Gaussian triples."""
-    points = rng.standard_normal((size, 3))
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    # A zero Gaussian triple has probability zero but would divide by zero.
-    norms[norms == 0] = 1.0
-    return points / norms
-
-
-def sample_hidden_variable(n_slots: int, rng: np.random.Generator) -> HiddenVariable:
-    """Draw lam uniform over {0..n_slots-1} and m uniform on the sphere."""
-    if n_slots not in _VALID_SLOT_COUNTS:
-        raise ValueError(f"invalid slot count {n_slots}: expected one of {_VALID_SLOT_COUNTS}")
-    lam = int(rng.integers(0, n_slots))
-    m = _unit_sphere(rng, 1)[0]
-    return HiddenVariable(lam=lam, m=BlochVector.from_array(m))
-
-
-def bell_outcome(m: BlochVector, n: BlochVector, v: BlochVector) -> int:
-    """Sphere-model value of the projector along v: 1 iff (m + n).v > 0.
-
-    The measure-zero boundary (m + n).v = 0 returns 0; callers that track
-    boundary incidence test the sign themselves.
-    """
-    s = (m.x + n.x) * v.x + (m.y + n.y) * v.y + (m.z + n.z) * v.z
-    return 1 if s > 0 else 0
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -119,7 +92,7 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
         # z is spent once projected, so its squares overwrite it.
         r = np.square(z, out=z) @ ones
         np.sqrt(r, out=r)
-        # As in _unit_sphere: a zero triple (probability zero) counts as m = 0.
+        # A zero triple (probability zero) counts as m = 0.
         r[r == 0] = 1.0
         r *= n_dots.take(lam)
         signed += r
@@ -134,10 +107,14 @@ def _sample(
 ) -> tuple[np.ndarray, int]:
     """Merged shard counts; shard k draws from substream (seed, k) alone, so
     the counts are the same for any worker count."""
-    # bool is an int subclass, so True would otherwise run one sample. A numpy
-    # integer is refused too: the report stores samples, and json cannot write one.
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise ValueError(f"samples must be an int, got {type(samples).__name__}")
+    # bool is an int subclass, so True would otherwise run one sample (or seed
+    # 1). A numpy integer is refused too: the report stores both, and json
+    # cannot write one. A seed of None would run on fresh OS entropy.
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > MAX_SAMPLES:
@@ -285,8 +262,10 @@ def noncontextual_value_map(
 
     The ancilla value marks one slot per context and the sphere rule on that
     slot's pair picks the sign, so each context receives exactly one outcome
-    valued 1 from a single hidden-variable sample.
+    valued 1 from a single hidden-variable sample. The boundary
+    (m + n).v = 0, which has probability zero, gives "-".
     """
+    m = hv.m
     assignments = []
     for context_index in range(len(family.contexts)):
         pairs = family.context_pairs(context_index)
@@ -295,8 +274,9 @@ def noncontextual_value_map(
                 f"hidden variable lam={hv.lam} out of range for {len(pairs)} pairs"
             )
         plus, minus = pairs[hv.lam]
-        outcome = bell_outcome(hv.m, n, family.elements[plus].direction)
+        v = family.elements[plus].direction
+        s = (m.x + n.x) * v.x + (m.y + n.y) * v.y + (m.z + n.z) * v.z
         assignment = {label: 0 for label in family.contexts[context_index]}
-        assignment[plus if outcome == 1 else minus] = 1
+        assignment[plus if s > 0 else minus] = 1
         assignments.append(assignment)
     return tuple(assignments)

@@ -20,8 +20,7 @@ from .bloch import (
     is_density_operator,
     projector_from_bloch,
 )
-# Re-exported: the letter tables are public povm attributes too.
-from .tables import CABELLO_CONTEXT_LETTERS, MODEL_CONTEXTS, NAKAMURA_CONTEXT_LETTERS  # noqa: F401
+from .tables import MODEL_CONTEXTS
 
 Context = tuple[str, ...]
 

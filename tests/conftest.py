@@ -44,6 +44,15 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarra
     return cols @ cols.conj().T
 
 
+def _unit_sphere(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniform points on the unit sphere via normalized Gaussian triples."""
+    points = rng.standard_normal((size, 3))
+    norms = np.linalg.norm(points, axis=1, keepdims=True)
+    # A zero Gaussian triple has probability zero but would divide by zero.
+    norms[norms == 0] = 1.0
+    return points / norms
+
+
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal(3)
     return g / np.linalg.norm(g)

@@ -31,8 +31,9 @@ from qcontext import (
     verify_dilation,
 )
 from qcontext.dilation import RULE_CONFINEMENT
-from qcontext.hv import HiddenVariable, _unit_sphere
+from qcontext.hv import HiddenVariable
 
+from conftest import _unit_sphere
 from test_hv import acceptance_region_integral
 
 TOLERANCE = 1e-12

@@ -51,7 +51,7 @@ class TestBlochVector:
 
     def test_antipode_is_valid_and_negates(self):
         v = BlochVector.normalized(1, 2, 3)
-        assert v.antipode() == -v
+        assert v.antipode() == BlochVector(-v.x, -v.y, -v.z)
         assert v.dot(v.antipode()) == pytest.approx(-1.0, abs=ATOL)
 
 
@@ -159,7 +159,7 @@ class TestDodecahedron:
     def test_cube_letters_match_context_rows(self):
         # Pair letters are defined through cube membership, so cube k must
         # carry exactly the letters of measurement row k.
-        from qcontext.povm import CABELLO_CONTEXT_LETTERS
+        from qcontext.tables import CABELLO_CONTEXT_LETTERS
 
         vs = dodecahedron_vertices()
         cubes = inscribed_cubes(vs)

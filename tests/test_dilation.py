@@ -22,7 +22,6 @@ from qcontext import (
     povm_contribution,
     projector_from_bloch,
     sequential_dilation,
-    shuffle_identity_check,
     validate_certificate,
     verify_dilation,
 )
@@ -189,6 +188,23 @@ class TestVerifyDilation:
         report = verify_dilation(scheme, nakamura, 0)
         assert report.passed(), report.to_dict()
         assert report.filler_residuals == (0.0,)
+
+
+def shuffle_identity_check(
+    rho: np.ndarray, projector: np.ndarray, unitary: np.ndarray
+) -> tuple[float, float]:
+    """Evaluate trace((U rho U+) P) and trace(rho (U+ P U)).
+
+    The two agree identically, which is why an entangling ancilla preparation
+    can always be absorbed into a change of projectors.
+    """
+    unitary = np.asarray(unitary, dtype=complex)
+    dim = unitary.shape[0]
+    if np.max(np.abs(unitary @ unitary.conj().T - np.eye(dim))) > ATOL:
+        raise ValueError("invalid unitary: U U+ differs from the identity")
+    left = np.trace(unitary @ rho @ unitary.conj().T @ projector)
+    right = np.trace(rho @ unitary.conj().T @ projector @ unitary)
+    return float(left.real), float(right.real)
 
 
 class TestShuffleIdentity:

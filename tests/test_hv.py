@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,12 +10,12 @@ from qcontext import (
     BlochVector,
     HiddenVariable,
     bell_marginal_estimate,
-    bell_outcome,
     noncontextual_value_map,
-    sample_hidden_variable,
     simulate_povm,
 )
-from qcontext.hv import _BLOCK, MAX_SAMPLES, SHARD_SIZE, _povm_shard, _unit_sphere
+from qcontext.hv import _BLOCK, MAX_SAMPLES, SHARD_SIZE, _povm_shard, _shard_rng
+
+from conftest import _unit_sphere
 
 Z = BlochVector(0, 0, 1)
 
@@ -42,6 +43,12 @@ def acceptance_region_integral(n_dot_v: float) -> float:
     return value
 
 
+def draw_hidden_variable(n_slots: int, rng: np.random.Generator) -> HiddenVariable:
+    """lam uniform over {0..n_slots-1}, then m uniform on the sphere."""
+    lam = int(rng.integers(0, n_slots))
+    return HiddenVariable(lam=lam, m=BlochVector.from_array(_unit_sphere(rng, 1)[0]))
+
+
 def direction_at(degrees: float) -> BlochVector:
     theta = math.radians(degrees)
     return BlochVector.normalized(math.sin(theta), 0.0, math.cos(theta))
@@ -66,37 +73,28 @@ class TestSphereSampling:
         sigma = math.sqrt(1 / 12 / n)
         assert abs(np.abs(m[:, 2]).mean() - 0.5) <= 5 * sigma
 
-    def test_scalar_sampler_matches_contract(self):
-        rng = np.random.default_rng(3)
-        lam_counts = [0, 0]
-        for _ in range(10_000):
-            hv = sample_hidden_variable(2, rng)
-            assert hv.lam in (0, 1)
-            assert abs(hv.m.dot(hv.m) - 1.0) <= 1e-12
-            lam_counts[hv.lam] += 1
-        sigma = math.sqrt(0.25 / 10_000)
-        assert abs(lam_counts[0] / 10_000 - 0.5) <= 5 * sigma
-
-    def test_invalid_slot_count(self):
-        with pytest.raises(ValueError, match="slot count"):
-            sample_hidden_variable(3, np.random.default_rng(0))
-
 
 class TestBellOutcome:
-    def test_aligned_measurement_fires(self):
+    """The sphere rule as the value map applies it, on slot 0 of nakamura's
+    first context: the A pair, with A+ at the north pole."""
+
+    def test_aligned_measurement_fires(self, nakamura):
         rng = np.random.default_rng(4)
         for m in _unit_sphere(rng, 200):
-            assert bell_outcome(BlochVector.from_array(m), Z, Z) == 1
+            hv = HiddenVariable(lam=0, m=BlochVector.from_array(m))
+            assert noncontextual_value_map(hv, nakamura, Z)[0]["A+"] == 1
 
-    def test_anti_aligned_everything(self):
+    def test_anti_aligned_everything(self, nakamura):
         minus = BlochVector(0, 0, -1)
-        assert bell_outcome(minus, minus, Z) == 0
+        hv = HiddenVariable(lam=0, m=minus)
+        assert noncontextual_value_map(hv, nakamura, minus)[0]["A-"] == 1
 
-    def test_boundary_returns_zero(self):
+    def test_boundary_returns_zero(self, nakamura):
         m = BlochVector(0, 1, 0)
-        v = BlochVector(1, 0, 0)
-        assert (m.x + Z.x) * v.x + (m.y + Z.y) * v.y + (m.z + Z.z) * v.z == 0.0
-        assert bell_outcome(m, Z, v) == 0
+        n = BlochVector(1, 0, 0)
+        assert (m.x + n.x) * Z.x + (m.y + n.y) * Z.y + (m.z + n.z) * Z.z == 0.0
+        hv = HiddenVariable(lam=0, m=m)
+        assert noncontextual_value_map(hv, nakamura, n)[0]["A-"] == 1
 
 
 class TestBellMarginal:
@@ -134,12 +132,12 @@ class TestBellMarginal:
             simulate_povm(nakamura, 0, Z, MAX_SAMPLES + 1, seed=1, workers=2)
 
 
-def _simulate(nakamura, samples, workers):
-    return simulate_povm(nakamura, 0, Z, samples, seed=1, workers=workers)
+def _simulate(nakamura, samples, workers, seed=1):
+    return simulate_povm(nakamura, 0, Z, samples, seed=seed, workers=workers)
 
 
-def _marginal(nakamura, samples, workers):
-    return bell_marginal_estimate(Z, Z, samples, seed=1, workers=workers)
+def _marginal(nakamura, samples, workers, seed=1):
+    return bell_marginal_estimate(Z, Z, samples, seed=seed, workers=workers)
 
 
 @pytest.mark.parametrize("run", [_simulate, _marginal])
@@ -159,6 +157,11 @@ class TestSampleArguments:
     def test_rejects_non_int_samples(self, nakamura, run, samples):
         with pytest.raises(ValueError, match="samples"):
             run(nakamura, samples, 1)
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "3", np.int64(3), -1])
+    def test_rejects_seed_not_a_non_negative_int(self, nakamura, run, seed):
+        with pytest.raises(ValueError, match="seed"):
+            run(nakamura, 1000, 1, seed)
 
 
 class TestSimulatePovm:
@@ -274,6 +277,44 @@ class TestKernelOracle:
         assert boundary == expected_boundary
 
 
+@functools.lru_cache(maxsize=None)
+def _value_map_counts(family, n: BlochVector, seed: int, count: int) -> tuple[np.ndarray, ...]:
+    """Per context, how often the value map gives each element 1 over the
+    draws of shard 0: lam first, then z, and m = z/|z|."""
+    n_slots = len(family.context_pairs(0))
+    rng = _shard_rng(seed, 0)
+    lams = rng.integers(0, n_slots, size=count)
+    z = rng.standard_normal((count, 3))
+    ms = z / np.linalg.norm(z, axis=1, keepdims=True)
+    counts = [np.zeros(len(context), dtype=np.int64) for context in family.contexts]
+    for lam, m in zip(lams, ms):
+        hv = HiddenVariable(lam=int(lam), m=BlochVector.from_array(m))
+        for total, context, assignment in zip(
+            counts, family.contexts, noncontextual_value_map(hv, family, n)
+        ):
+            total += [assignment[label] for label in context]
+    return tuple(counts)
+
+
+class TestKernelImplementsModel:
+    """The kernel's z-form of the sphere rule counts exactly what the value
+    map's m-form gives on the same draws."""
+
+    @pytest.mark.parametrize("seed", [8, 2**40 + 3])
+    @pytest.mark.parametrize(
+        "model, context", [("nakamura", i) for i in range(3)] + [("cabello", i) for i in range(5)]
+    )
+    def test_shard_counts_equal_value_map_counts(self, request, model, context, seed):
+        family = request.getfixturevalue(model)
+        n = BlochVector.normalized(0.3, -0.5, 0.8)
+        plus_dirs = np.array(
+            [family.elements[plus].direction.as_array() for plus, _ in family.context_pairs(context)]
+        )
+        # 5000 samples span two blocks, the second a partial one.
+        counts, _ = _povm_shard((plus_dirs, n.as_array(), seed, 0, 5000))
+        assert counts.tolist() == _value_map_counts(family, n, seed, 5000)[context].tolist()
+
+
 class TestPinnedReports:
     """Literal reports that any change to the sampling kernel must reproduce.
 
@@ -309,7 +350,7 @@ class TestNoncontextualValueMap:
         n = BlochVector.from_array(_unit_sphere(rng, 1)[0])
         for family, slots in ((nakamura, 2), (cabello, 4)):
             for _ in range(1000):
-                hv = sample_hidden_variable(slots, rng)
+                hv = draw_hidden_variable(slots, rng)
                 for assignment in noncontextual_value_map(hv, family, n):
                     assert sum(assignment.values()) == 1
 
@@ -333,7 +374,7 @@ class TestNoncontextualValueMap:
         n = BlochVector.from_array(_unit_sphere(rng, 1)[0])
         saw_disagreement = False
         for _ in range(500):
-            hv = sample_hidden_variable(4, rng)
+            hv = draw_hidden_variable(4, rng)
             maps = noncontextual_value_map(hv, cabello, n)
             for label in cabello.elements:
                 first, second = cabello.element_contexts(label)

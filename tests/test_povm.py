@@ -87,12 +87,10 @@ class TestStructure:
     def test_model_tables_match_families(self, nakamura, cabello):
         # The CLI range-checks --context and builds the ks-search --model
         # hypergraph from these rows without building a family.
-        from qcontext import hv, povm, tables
+        from qcontext import hv, tables
 
         assert tables.MODEL_CONTEXTS["nakamura"] == nakamura.contexts
         assert tables.MODEL_CONTEXTS["cabello"] == cabello.contexts
-        assert povm.CABELLO_CONTEXT_LETTERS is tables.CABELLO_CONTEXT_LETTERS
-        assert povm.NAKAMURA_CONTEXT_LETTERS is tables.NAKAMURA_CONTEXT_LETTERS
         assert hv.MAX_SAMPLES is tables.MAX_SAMPLES
 
 
