@@ -3,15 +3,16 @@
 An assignment is valid when every context contains exactly one element valued
 1, so the 1-valued elements of a valid assignment are an exact cover of the
 contexts. Both deciders live here: an exact-cover search (Knuth's Algorithm
-X, memoised on the covered contexts) that counts the valid assignments and
-finds the least one, and the counting (parity) obstruction that explains why
-the two measurement families admit none. The exact-cover search also decides
-slot-map consistency: dilation.count_consistent_slot_assignments reduces it
-to a hypergraph and counts that hypergraph's valid assignments here.
+X; its only state is the mask of covered contexts, which fixes the blocked
+elements) that counts the valid assignments and finds the least one, and the
+counting (parity) obstruction that explains why the two measurement families
+admit none. The same search counts the consistent slot maps that
+dilation.count_consistent_slot_assignments reduces to a hypergraph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 #: Search-node budget of one enumerate_assignments call. Counting exact
@@ -28,28 +29,22 @@ class ContextHypergraph:
     contexts: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate element labels")
         pool = set(self.elements)
+        if len(pool) != len(self.elements):
+            raise ValueError("duplicate element labels")
         for context in self.contexts:
             if len(set(context)) != len(context):
                 raise ValueError(f"duplicate labels inside context {context!r}")
-            unknown = [label for label in context if label not in pool]
-            if unknown:
+            if not pool.issuperset(context):
+                unknown = [label for label in context if label not in pool]
                 raise ValueError(f"context references unknown labels {unknown!r}")
 
     @classmethod
     def from_contexts(cls, contexts) -> "ContextHypergraph":
         """Build from context label lists; elements in first-appearance order."""
-        seen: list[str] = []
-        for context in contexts:
-            for label in context:
-                if label not in seen:
-                    seen.append(label)
-        return cls(elements=tuple(seen), contexts=tuple(tuple(c) for c in contexts))
-
-    def incidence_count(self, label: str) -> int:
-        return sum(label in context for context in self.contexts)
+        contexts = tuple(tuple(c) for c in contexts)
+        seen = dict.fromkeys(label for context in contexts for label in context)
+        return cls(elements=tuple(seen), contexts=contexts)
 
 
 @dataclass(frozen=True)
@@ -94,44 +89,31 @@ def parity_obstruction(h: ContextHypergraph) -> ParityObstruction | None:
     """The counting obstruction, or None when it does not apply."""
     if not h.contexts or len(h.contexts) % 2 == 0:
         return None
-    if any(h.incidence_count(label) != 2 for label in h.elements):
+    incidences = Counter(label for context in h.contexts for label in context)
+    if any(incidences[label] != 2 for label in h.elements):
         return None
     return ParityObstruction(context_count=len(h.contexts), incidence_multiplicity=2)
 
 
-def _bits(mask: int):
-    """The set bits of ``mask``, lowest first, each as its own power of two."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _exact_covers(masks: list[int]) -> tuple[int, int | None]:
+def _exact_covers(masks: list[int], holders: dict[int, int]) -> tuple[int, int | None]:
     """(number of exact covers, least cover or None) of the context bitmasks.
 
-    ``masks[i]`` has one bit per element of context i, and a cover is the OR
-    of its elements. This is Knuth's Algorithm X on the bitmask of covered
-    contexts. It branches on the uncovered context with the fewest elements
-    still allowed (those in no covered context) and memoises on the covered
-    mask. It runs on an explicit stack, so its depth, at most one level per
-    context, is not bounded by the interpreter's recursion limit. Every cover
-    holds exactly one element of the branching context, so counts add over
-    those elements, and the least cover is the least of element | least
+    ``masks[i]`` has one bit per element of context i; ``holders`` maps an
+    element bit to the mask of the contexts holding it. This is Knuth's
+    Algorithm X whose one piece of state, memoised, is the mask of covered
+    contexts: a node blocks the elements of its covered contexts and branches
+    on the uncovered context with the fewest elements not blocked. An explicit
+    stack keeps the depth (one level per context) off the recursion limit.
+    Every cover holds one element of the branching context, so counts add
+    over those elements, and the least cover is the least of element | least
     cover of what is left. Raises ValueError after SEARCH_LIMIT nodes.
     """
-    holders: dict[int, int] = {}  # element -> contexts it covers
-    kills: dict[int, int] = {}  # element -> elements it rules out
-    for i, mask in enumerate(masks):
-        for element in _bits(mask):
-            holders[element] = holders.get(element, 0) | 1 << i
-            kills[element] = kills.get(element, 0) | mask
     memo = {(1 << len(masks)) - 1: (1, 0)}
     branches: dict[int, int] = {}  # expanded, unfinished node -> its branch
     nodes = 0
-    stack = [(0, -1)]  # (covered contexts, allowed elements)
+    stack = [0]  # covered contexts
     while stack:
-        covered, allowed = stack[-1]
+        covered = stack[-1]
         if covered in memo:
             stack.pop()
         elif covered not in branches:
@@ -141,25 +123,35 @@ def _exact_covers(masks: list[int]) -> tuple[int, int | None]:
                     f"search limit: more than {SEARCH_LIMIT} search nodes "
                     f"for {len(masks)} contexts"
                 )
+            blocked = 0
+            for i, mask in enumerate(masks):
+                if covered >> i & 1:
+                    blocked |= mask
             best, best_size = 0, len(holders) + 1
             for i, mask in enumerate(masks):
                 if not covered >> i & 1:
-                    fits = mask & allowed
+                    fits = mask & ~blocked
                     size = fits.bit_count()
                     if size < best_size:
                         best, best_size = fits, size
                         if size < 2:
                             break
             branches[covered] = best
-            stack.extend((covered | holders[e], allowed & ~kills[e]) for e in _bits(best))
+            while best:
+                e = best & -best
+                stack.append(covered | holders[e])
+                best ^= e
         else:
             count, least = 0, None
-            for element in _bits(branches.pop(covered)):
-                sub_count, sub_least = memo[covered | holders[element]]
+            rest = branches.pop(covered)
+            while rest:
+                e = rest & -rest
+                rest ^= e
+                sub_count, sub_least = memo[covered | holders[e]]
                 if sub_count:
                     count += sub_count
-                    if least is None or element | sub_least < least:
-                        least = element | sub_least
+                    if least is None or e | sub_least < least:
+                        least = e | sub_least
             memo[covered] = (count, least)
             stack.pop()
     return memo[0]
@@ -179,10 +171,17 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
     # Bit (n-1-j) holds the j-th label in sorted order, so integer order is
     # lexicographic order over assignments.
     bit = {label: 1 << (n - 1 - j) for j, label in enumerate(sorted(h.elements))}
-    masks = [sum(bit[label] for label in context) for context in h.contexts]
-    covers, least = _exact_covers(masks)
-    free = n - len({label for context in h.contexts for label in context})
-    valid_count = covers << free
+    masks = []
+    holders: dict[int, int] = {}  # element bit -> contexts holding it
+    for i, context in enumerate(h.contexts):
+        mask = 0
+        for label in context:
+            b = bit[label]
+            mask |= b
+            holders[b] = holders.get(b, 0) | 1 << i
+        masks.append(mask)
+    covers, least = _exact_covers(masks, holders)
+    valid_count = covers << (n - len(holders))
     witness = None
     if covers:
         witness = {label: int(least & b != 0) for label, b in bit.items()}

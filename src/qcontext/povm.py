@@ -87,15 +87,24 @@ class PovmFamily:
             raise KeyError(f"missing element: {label!r}")
         return tuple(i for i, c in enumerate(self.contexts) if label in c)
 
+    @cached_property
+    def _pairs(self) -> dict[int, tuple[tuple[str, str], ...]]:
+        """Context index -> validated pairs, filled by ``context_pairs``."""
+        return {}
+
     def context_pairs(self, context_index: int) -> tuple[tuple[str, str], ...]:
         """Antipodal (plus, minus) label pairs of one context, in slot order.
 
         Contexts list elements pairwise (X+, X-, Y+, Y-, ...); this validates
         the pairing geometrically and is the slot convention shared by the
-        dilation builder and the hidden-variable sampler.
+        dilation builder and the hidden-variable sampler. A context's pairs
+        are validated on first use and kept with the family; a context that
+        fails validation is never kept, so it raises on every call.
         """
         if not 0 <= context_index < len(self.contexts):
             raise ValueError(f"invalid context index {context_index}")
+        if context_index in self._pairs:
+            return self._pairs[context_index]
         context = self.contexts[context_index]
         if len(context) % 2 != 0:
             raise ValueError(f"invalid context: odd element count in {context!r}")
@@ -108,7 +117,8 @@ class PovmFamily:
                     f"invalid context: {plus!r}/{minus!r} are not an antipodal pair"
                 )
             pairs.append((plus, minus))
-        return tuple(pairs)
+        self._pairs[context_index] = tuple(pairs)
+        return self._pairs[context_index]
 
     def restrict(self, context_indices: Sequence[int]) -> "PovmFamily":
         """Sub-family keeping only the selected contexts and their elements."""

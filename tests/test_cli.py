@@ -380,6 +380,24 @@ class TestPinnedDilationOutputs:
         assert out == (PINNED_DIR / f"{command}-{model}.json").read_text()
 
 
+class TestPinnedKsSearchOutputs:
+    """``ks-search`` output, byte for byte, for both models and one colorable
+    hypergraph file."""
+
+    @pytest.mark.parametrize("model", ["nakamura", "cabello"])
+    def test_model(self, capsys, model):
+        code, out = run_cli(capsys, "ks-search", "--model", model)
+        assert code == 3
+        assert out == (PINNED_DIR / f"ks-{model}.json").read_text()
+
+    def test_colorable_file(self, capsys, monkeypatch):
+        # config echoes the path as given, so it is given relative to the file.
+        monkeypatch.chdir(PINNED_DIR)
+        code, out = run_cli(capsys, "ks-search", "--hypergraph", "ks-colorable.txt")
+        assert code == 0
+        assert out == (PINNED_DIR / "ks-colorable.json").read_text()
+
+
 #: Runs ``python -m qcontext.cli ARGV`` in the probe process, then reports the
 #: exit code and whether numpy was loaded as the last stderr line.
 CLI_PROBE = """

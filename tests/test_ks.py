@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from qcontext import (
     ContextHypergraph,
+    ParityObstruction,
     enumerate_assignments,
     parity_obstruction,
     parse_hypergraph,
 )
+from qcontext.tables import MODEL_CONTEXTS
 
 #: The Cabello-Estebaranz-Garcia-Alcaine Kochen-Specker set in R^4
 #: (Phys. Lett. A 212, 183 (1996)): 18 vectors in 9 orthogonal bases.
@@ -71,6 +73,51 @@ def hypergraphs(draw):
     if contexts and draw(st.booleans()):
         contexts.append(draw(st.sampled_from(contexts)))
     return ContextHypergraph(elements=tuple(labels), contexts=tuple(map(tuple, contexts)))
+
+
+@st.composite
+def paired_hypergraphs(draw):
+    """Up to 10 elements, each in exactly two of 2-7 contexts, so the parity
+    rule applies whenever the context count is odd."""
+    k = draw(st.integers(2, 7))
+    contexts = [[] for _ in range(k)]
+    labels = [f"e{i:02d}" for i in range(draw(st.integers(1, 10)))]
+    for label in labels:
+        for i in draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)):
+            contexts[i].append(label)
+    return ContextHypergraph(elements=tuple(labels), contexts=tuple(map(tuple, contexts)))
+
+
+def signed_rays(*seeds):
+    """The rays of every signed permutation of the seeds, sorted, each written
+    with its first nonzero entry +1."""
+    rays = set()
+    for seed in seeds:
+        for perm in itertools.permutations(seed):
+            for signs in itertools.product((1, -1), repeat=len(seed)):
+                v = tuple(s * c for s, c in zip(signs, perm))
+                lead = next(c for c in v if c)
+                rays.add(tuple(lead * c for c in v))
+    return sorted(rays)
+
+
+@pytest.fixture(scope="module")
+def peres():
+    """The Peres Kochen-Specker set in R^4 (J. Phys. A 24, L175 (1991)): the 24
+    rays of (1,0,0,0), (1,1,0,0) and (1,1,1,1) up to permutation and sign,
+    whose orthogonal 4-subsets are its 24 bases."""
+    rays = signed_rays((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1))
+    assert len(rays) == 24
+    bases = [
+        basis for basis in itertools.combinations(rays, 4)
+        if all(np.dot(u, v) == 0 for u, v in itertools.combinations(basis, 2))
+    ]
+    assert len(bases) == 24
+    assert all(np.linalg.matrix_rank(np.array(basis)) == 4 for basis in bases)
+    # Every ray lies in four bases, so the parity count says nothing here.
+    assert all(sum(v in basis for basis in bases) == 4 for v in rays)
+    label = {v: f"r{i:02d}" for i, v in enumerate(rays)}
+    return ContextHypergraph.from_contexts([[label[v] for v in basis] for basis in bases])
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +233,15 @@ class TestEnumerate:
         assert verdict.obstruction.context_count == 9
         assert verdict.obstruction.incidence_multiplicity == 2
 
+    def test_peres_not_colorable_without_parity(self, peres):
+        # A not-colorable verdict that the counting obstruction cannot explain.
+        verdict = enumerate_assignments(peres)
+        assert verdict.valid_count == 0
+        assert not verdict.colorable
+        assert verdict.total_assignments == 1 << 24
+        assert verdict.witness is None
+        assert verdict.obstruction is None
+
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(list(range(6))), st.randoms(use_true_random=False))
     def test_relabeling_invariance(self, perm, rnd):
@@ -203,7 +259,43 @@ class TestEnumerate:
         )
 
 
+class TestSearchBudget:
+    """Expanded-node counts of the decider: SEARCH_LIMIT = nodes answers and
+    nodes - 1 refuses. Changing the branch rule or the memo moves them."""
+
+    @pytest.mark.parametrize(
+        "name,nodes", [("nakamura", 3), ("cabello", 8), ("ceg", 31), ("peres", 49)]
+    )
+    def test_node_count(self, request, monkeypatch, name, nodes):
+        if name in MODEL_CONTEXTS:
+            h = ContextHypergraph.from_contexts(MODEL_CONTEXTS[name])
+        else:
+            h = request.getfixturevalue(name)
+        monkeypatch.setattr("qcontext.ks.SEARCH_LIMIT", nodes)
+        assert enumerate_assignments(h).valid_count == 0
+        monkeypatch.setattr("qcontext.ks.SEARCH_LIMIT", nodes - 1)
+        message = f"^search limit: more than {nodes - 1} search nodes for {len(h.contexts)} contexts$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_assignments(h)
+
+
 class TestParityObstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(hypergraphs(), paired_hypergraphs()))
+    def test_verdict_carries_the_parity_rule(self, h):
+        obstruction = parity_obstruction(h)
+        verdict = enumerate_assignments(h)
+        assert verdict.obstruction == obstruction
+        # The rule, by one scan of the contexts per label.
+        applies = len(h.contexts) % 2 == 1 and all(
+            sum(label in c for c in h.contexts) == 2 for label in h.elements
+        )
+        if applies:
+            assert obstruction == ParityObstruction(len(h.contexts), 2)
+            assert verdict.valid_count == 0
+        else:
+            assert obstruction is None
+
     def test_present_for_both_families(self, nakamura, cabello):
         for family, count in ((nakamura, 3), (cabello, 5)):
             h = ContextHypergraph.from_contexts(family.contexts)
@@ -242,6 +334,13 @@ class TestHypergraphParsing:
     def test_duplicate_label_in_context_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_hypergraph("a,a\n")
+
+    def test_from_contexts_reads_an_iterator_once(self):
+        rows = [("b", "a"), ("a", "c")]
+        h = ContextHypergraph.from_contexts(iter(rows))
+        assert h == ContextHypergraph.from_contexts(rows)
+        assert h.elements == ("b", "a", "c")
+        assert h.contexts == tuple(rows)
 
     def test_unknown_labels_rejected_in_constructor(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -73,6 +73,29 @@ class TestStructure:
         with pytest.raises(ValueError, match="antipodal"):
             shuffled.context_pairs(0)
 
+    def test_context_pairs_kept_and_failures_repeat(self, nakamura):
+        # A valid context's pairs are validated once and kept with the family;
+        # an invalid index, an odd context or a non-antipodal pair raises on
+        # every call, not only the first.
+        family = PovmFamily(
+            name="mixed",
+            elements=dict(nakamura.elements),
+            contexts=(("A+", "A-", "B+", "B-"), ("A+", "B+", "A-", "B-"), ("A+", "A-", "B+")),
+        )
+        first = family.context_pairs(0)
+        assert first == (("A+", "A-"), ("B+", "B-"))
+        for _ in range(3):
+            assert family.context_pairs(0) is first
+            for index in (-1, 3):
+                with pytest.raises(ValueError, match=f"invalid context index {index}"):
+                    family.context_pairs(index)
+            with pytest.raises(ValueError, match="antipodal"):
+                family.context_pairs(1)
+            with pytest.raises(ValueError, match="odd element count"):
+                family.context_pairs(2)
+        # The kept pairs are not part of the family's value.
+        assert family == replace(family) and hash(family) == hash(replace(family))
+
     def test_unknown_context_label_rejected(self, nakamura):
         with pytest.raises(KeyError, match="missing element"):
             PovmFamily(name="bad", elements=dict(nakamura.elements),
