@@ -7,10 +7,14 @@ simulates the noncontextual hidden-variable model of the dilated
 measurements.
 
 The public names are bound on first use (PEP 562), so ``import qcontext``
-alone loads no numpy and the CLI's non-numeric commands start fast. Reading
-any one of them imports all five layers and binds every name in ``__all__``,
-as eager imports would: a tracer that wraps the layers' functions finds
-every layer loaded and every name bound.
+alone loads no layer. Reading any one of them imports all five layers and
+binds every name in ``__all__``, as eager imports would: a tracer that wraps
+the layers' functions finds every layer loaded and every name bound.
+
+No layer loads numpy at import. Building the families, deciding colorability
+and deriving the one-to-one certificate run without it; each function that
+computes with arrays (operators, completeness, the Born rule, dilations,
+sampling) imports numpy when called.
 """
 
 import importlib

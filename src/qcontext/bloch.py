@@ -1,14 +1,22 @@
-"""Bloch-sphere geometry: unit vectors, qubit operators, and the two vertex solids."""
+"""Bloch-sphere geometry: unit vectors, qubit operators, and the two vertex solids.
+
+The geometry is plain Python over float tuples, so building the vertex sets
+and the families loads no numpy. The qubit-operator functions and
+``BlochVector.as_array`` import numpy when called.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .tables import CABELLO_CONTEXT_LETTERS
+
+if TYPE_CHECKING:  # imported for real inside the operator functions
+    import numpy as np
 
 #: Tolerance for closed-form algebraic identities in double precision.
 ATOL = 1e-12
@@ -16,11 +24,6 @@ ATOL = 1e-12
 #: Dot-product tolerance for finding antipodes and cubes: ``inscribed_cubes``
 #: takes caller vertex sets, whose vectors are unit only to ``ATOL``.
 STRUCTURE_TOL = 1e-9
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -64,6 +67,8 @@ class BlochVector:
         return cls(x, y, z)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z])
 
     def dot(self, other: "BlochVector") -> float:
@@ -73,26 +78,49 @@ class BlochVector:
         return BlochVector(-self.x, -self.y, -self.z)
 
 
+@functools.cache
+def _pauli_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(I, sigma_x, sigma_y, sigma_z) as read-only complex 2x2 arrays."""
+    import numpy as np
+
+    basis = (
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    for matrix in basis:
+        matrix.flags.writeable = False
+    return basis
+
+
 def projector_from_bloch(v: BlochVector) -> np.ndarray:
     """Rank-1 projector (I + v.sigma)/2 onto the pure state pointing along v.
 
     Hermitian, idempotent, trace 1; the antipodal direction gives the
     orthogonal complement.
     """
-    return (IDENTITY2 + v.x * SIGMA_X + v.y * SIGMA_Y + v.z * SIGMA_Z) / 2
+    identity, sigma_x, sigma_y, sigma_z = _pauli_basis()
+    return (identity + v.x * sigma_x + v.y * sigma_y + v.z * sigma_z) / 2
 
 
 def is_hermitian(op: np.ndarray, atol: float = ATOL) -> bool:
+    import numpy as np
+
     return bool(np.max(np.abs(op - op.conj().T)) <= atol)
 
 
 def is_projector(op: np.ndarray, atol: float = ATOL) -> bool:
     """Hermitian and idempotent (no rank constraint)."""
+    import numpy as np
+
     return is_hermitian(op, atol) and bool(np.max(np.abs(op @ op - op)) <= atol)
 
 
 def is_density_operator(op: np.ndarray, atol: float = 1e-9) -> bool:
     """Hermitian, unit trace, positive semidefinite."""
+    import numpy as np
+
     if not is_hermitian(op, atol):
         return False
     if abs(np.trace(op).real - 1.0) > atol:
@@ -132,12 +160,15 @@ class VertexSet:
         return self.vertices[plus if sign == "+" else minus]
 
 
-def _antipodal_pairs(coords: np.ndarray) -> list[tuple[int, int]]:
-    n = len(coords)
-    dots = coords @ coords.T
+def _gram(coords: list[tuple[float, float, float]]) -> list[list[float]]:
+    """Every pairwise dot product of the points, as rows."""
+    return [[x * u + y * v + z * w for u, v, w in coords] for x, y, z in coords]
+
+
+def _antipodal_pairs(dots: list[list[float]]) -> list[tuple[int, int]]:
     pairs = []
-    for i in range(n):
-        opposite = [j for j in range(n) if abs(dots[i, j] + 1.0) <= STRUCTURE_TOL]
+    for i, row in enumerate(dots):
+        opposite = [j for j, d in enumerate(row) if abs(d + 1.0) <= STRUCTURE_TOL]
         if len(opposite) != 1:
             raise ValueError("structure not found: vertex without a unique antipode")
         if i < opposite[0]:
@@ -145,21 +176,21 @@ def _antipodal_pairs(coords: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def _find_cubes(coords: np.ndarray) -> list[tuple[int, ...]]:
-    """Locate the 8-vertex inscribed cubes of a unit-sphere vertex cloud.
+def _find_cubes(dots: list[list[float]]) -> list[tuple[int, ...]]:
+    """Locate the 8-vertex inscribed cubes of a unit-sphere vertex cloud, given
+    its Gram matrix.
 
     A cube vertex sees its three edge neighbours at dot 1/3 and those
     neighbours see each other at dot -1/3; together with the four antipodes
     this fixes the whole cube.
     """
-    n = len(coords)
-    dots = coords @ coords.T
-    anti = {i: int(np.argmin(dots[i])) for i in range(n)}
+    # A vertex's antipode is the first index of its row's minimum (argmin's rule).
+    anti = [row.index(min(row)) for row in dots]
     cubes: set[tuple[int, ...]] = set()
-    for i in range(n):
-        neighbours = [j for j in range(n) if abs(dots[i, j] - 1 / 3) <= STRUCTURE_TOL]
+    for i, row in enumerate(dots):
+        neighbours = [j for j, d in enumerate(row) if abs(d - 1 / 3) <= STRUCTURE_TOL]
         for triple in itertools.combinations(neighbours, 3):
-            if all(abs(dots[a, b] + 1 / 3) <= STRUCTURE_TOL for a, b in itertools.combinations(triple, 2)):
+            if all(abs(dots[a][b] + 1 / 3) <= STRUCTURE_TOL for a, b in itertools.combinations(triple, 2)):
                 members = set()
                 for j in (i, *triple):
                     members.update((j, anti[j]))
@@ -175,8 +206,7 @@ def inscribed_cubes(vs: VertexSet) -> tuple[tuple[int, ...], ...]:
     input does not carry the expected structure: exactly 5 cubes with every
     vertex in exactly 2 of them.
     """
-    coords = np.array([v.as_array() for v in vs.vertices])
-    cubes = _find_cubes(coords)
+    cubes = _find_cubes(_gram([(v.x, v.y, v.z) for v in vs.vertices]))
     incidence = [sum(i in cube for cube in cubes) for i in range(len(vs.vertices))]
     if len(cubes) != 5 or set(incidence) != {2}:
         raise ValueError(
@@ -201,10 +231,11 @@ def dodecahedron_vertices() -> VertexSet:
             base = (0.0, s1 / phi, s2 * phi)
             for k in range(3):
                 raw.append((base[k % 3], base[(k + 1) % 3], base[(k + 2) % 3]))
-    coords = np.array(sorted(raw)) / math.sqrt(3)
+    coords = [tuple(c / math.sqrt(3) for c in point) for point in sorted(raw)]
 
-    pairs = _antipodal_pairs(coords)
-    cubes = _find_cubes(coords)
+    dots = _gram(coords)
+    pairs = _antipodal_pairs(dots)
+    cubes = _find_cubes(dots)
     if len(cubes) != 5:
         raise ValueError("structure not found: dodecahedron cube search failed")
 
@@ -218,13 +249,12 @@ def dodecahedron_vertices() -> VertexSet:
     for i, j in pairs:
         membership = frozenset(k for k, cube in enumerate(cubes) if i in cube)
         letter = letter_of_rows[membership]
-        plus, minus = (i, j) if tuple(coords[i]) > tuple(coords[j]) else (j, i)
+        plus, minus = (i, j) if coords[i] > coords[j] else (j, i)
         labeled.append((letter, (plus, minus)))
     labeled.sort()
 
-    vertices = tuple(BlochVector.from_array(c) for c in coords)
     return VertexSet(
-        vertices=vertices,
+        vertices=tuple(BlochVector(*c) for c in coords),
         pairs=tuple(pair for _, pair in labeled),
         labels=tuple(letter for letter, _ in labeled),
     )

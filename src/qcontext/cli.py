@@ -9,10 +9,12 @@ prints as one ``qcontext: error:`` line, with exit 2; only ``-h`` exits by
 ``SystemExit``. Flag values are checked where argparse parses them, by their
 ``type=`` or ``choices`` (``--format csv`` is a ``simulate`` flag only).
 
-Each handler imports the numeric modules it uses. The module itself imports
-only the standard library, ``ks`` and the numpy-free ``tables``, and checks
-``--model``, ``--context`` and ``--samples`` against ``tables`` before any
-family is built, so ``ks-search`` and the usage errors never load numpy.
+Each handler imports the modules it uses. The module itself imports only the
+standard library, ``ks`` and ``tables``, and checks ``--model``,
+``--context`` and ``--samples`` against ``tables`` before any family is
+built. The layers import numpy only inside their array functions, so
+``family``, ``ks-search``, ``feasibility`` and the usage errors never load
+it; ``check``, ``simulate``, ``dilate`` and ``audit`` do.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING
 from .ks import ContextHypergraph, enumerate_assignments, parse_hypergraph
 from .tables import MAX_SAMPLES, MODEL_CONTEXTS
 
-if TYPE_CHECKING:  # imported for real inside the handlers: they load numpy
+if TYPE_CHECKING:  # imported for real inside the handlers
     from .bloch import BlochVector
     from .povm import PovmFamily
 
@@ -197,9 +199,7 @@ def cmd_simulate(args) -> int:
     from .hv import Z_LIMIT, simulate_povm
 
     family = _load_model(args.model)
-    # An explicit --state is a BlochVector, parsed with argv; the default is
-    # parsed only here, so that a usage error never loads numpy.
-    state = _parse_state("0,0,1") if args.state is None else args.state
+    state = args.state
     seed = args.seed
     if seed is None:
         import secrets  # imported here: it would cost every CLI start ~6 ms
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="hidden-variable Monte Carlo vs Born statistics")
     _add_common(p, formats=("json", "csv"), workers_help="parallel workers; never changes the output")
     p.add_argument("--context", type=int, required=True, help="context number, 1-based")
-    p.add_argument("--state", type=_parse_state, default=None,
+    p.add_argument("--state", type=_parse_state, default="0,0,1",
                    help="system direction x,y,z (normalized on ingest)")
     p.add_argument("--samples", type=_bounded_int("samples", 1, MAX_SAMPLES), default=1_000_000)
     p.add_argument("--seed", type=_bounded_int("seed", 0), default=None,

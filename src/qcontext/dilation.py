@@ -19,6 +19,8 @@ one (M, 2N, 2N) array, so its partial traces, pairwise products and
 completeness sum are one numpy call each, as are the differences of the
 extension audit. Each entry is computed with the same arithmetic as one
 call per projector (or pair), so every residual is bit-for-bit the same.
+Only these array functions import numpy, when called: the slot count and the
+one-to-one reasoner are combinatorics and run without it.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .bloch import ATOL, IDENTITY2
+from .bloch import ATOL
 from .ks import ContextHypergraph, enumerate_assignments
 from .povm import PovmFamily
+
+if TYPE_CHECKING:  # imported for real inside the array functions
+    import numpy as np
 
 
 def partial_trace_over_ancilla(op: np.ndarray, ancilla_dim: int) -> np.ndarray:
@@ -41,6 +44,8 @@ def partial_trace_over_ancilla(op: np.ndarray, ancilla_dim: int) -> np.ndarray:
 
     Takes one operator or a stack of them, shape (..., 2N, 2N).
     """
+    import numpy as np
+
     op = np.asarray(op)
     dim = 2 * ancilla_dim
     if op.ndim < 2 or op.shape[-2:] != (dim, dim):
@@ -54,16 +59,21 @@ def partial_trace_over_ancilla(op: np.ndarray, ancilla_dim: int) -> np.ndarray:
 def povm_contribution(ancilla_state: np.ndarray, projector: np.ndarray) -> np.ndarray:
     """The qubit operator Tr_A{(rho_A (x) I) P} realized by an extended projector
     (or by each projector of a stack)."""
+    import numpy as np
+
     n = ancilla_state.shape[0]
-    # np.kron(ancilla_state, IDENTITY2) written out: the same products,
-    # without kron's per-call overhead.
-    kron = np.asarray(ancilla_state).reshape(n, 1, n, 1) * IDENTITY2.reshape(1, 2, 1, 2)
+    # np.kron(ancilla_state, I2) written out: the same products, without
+    # kron's per-call overhead.
+    identity = np.eye(2, dtype=complex)
+    kron = np.asarray(ancilla_state).reshape(n, 1, n, 1) * identity.reshape(1, 2, 1, 2)
     lifted = kron.reshape(2 * n, 2 * n) @ projector
     return partial_trace_over_ancilla(lifted, n)
 
 
 def uniform_ancilla_state(dim: int) -> np.ndarray:
     """Density matrix of the equally weighted superposition over dim basis kets."""
+    import numpy as np
+
     return np.full((dim, dim), 1.0 / dim, dtype=complex)
 
 
@@ -100,6 +110,8 @@ def sequential_dilation(
     default pairs take slots in context listing order; ``slot_order`` gives
     the pair index occupying each slot.
     """
+    import numpy as np
+
     pairs = family.context_pairs(context_index)
     n_slots = len(pairs)
     if n_slots == 0:
@@ -164,6 +176,8 @@ def verify_dilation(
 ) -> DilationReport:
     """Check a scheme against its context: recovered elements, silent fillers,
     mutual orthogonality, and completeness on the extended space."""
+    import numpy as np
+
     if not 0 <= context_index < len(family.contexts):
         raise ValueError(f"invalid context index {context_index}")
     context = family.contexts[context_index]
@@ -234,6 +248,8 @@ def extension_audit(
     All schemes must share the ancilla dimension and state; elements occurring
     in a single context produce no entries.
     """
+    import numpy as np
+
     if len(schemes) != len(family.contexts):
         raise ValueError("incomparable schemes: need one scheme per context")
     if not schemes:

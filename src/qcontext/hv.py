@@ -17,6 +17,9 @@ square root of square(z) @ (1, 1, 1). It works through a shard in blocks of
 block it draws z into a reused buffer, writes each slot's projections z.v
 into one row of another and picks sample i's own with one ``take`` at flat
 index lam * (row length) + i.
+
+The array functions import numpy when called, so ``noncontextual_value_map``
+and the report types load none.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bloch import BlochVector, projector_from_bloch
 from .povm import PovmFamily, born_probabilities
 from .tables import MAX_SAMPLES
+
+if TYPE_CHECKING:  # imported for real inside the array functions
+    import numpy as np
 
 #: Fixed Monte Carlo shard size; substreams derive from (seed, shard index)
 #: alone, so reports are identical for any worker count.
@@ -56,11 +61,15 @@ class HiddenVariable:
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,)))
 
 
 def _povm_shard(args) -> tuple[np.ndarray, int]:
     """Counts of slot k's "+" (index 2k) and "-" (2k + 1) elements, and boundary hits."""
+    import numpy as np
+
     plus_dirs, n_arr, seed, shard_index, count = args
     n_slots = len(plus_dirs)
     rng = _shard_rng(seed, shard_index)
@@ -226,6 +235,8 @@ def simulate_povm(
     model agrees with the Born rule when every |z| is at most ``Z_LIMIT``
     (5 sigma); ``qcontext simulate`` exits 1 otherwise.
     """
+    import numpy as np
+
     pairs = family.context_pairs(context_index)
     if len(pairs) not in _VALID_SLOT_COUNTS:
         raise ValueError(f"invalid context: {len(pairs)} pairs, expected one of {_VALID_SLOT_COUNTS}")

@@ -1,4 +1,8 @@
-"""The Cabello and Nakamura POVM families and Born-rule statistics."""
+"""The Cabello and Nakamura POVM families and Born-rule statistics.
+
+Building, validating and serialising a family loads no numpy; an element's
+``projector`` and ``operator``, ``check_completeness`` and the Born rule do.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .bloch import (
     ATOL,
-    IDENTITY2,
     BlochVector,
     dodecahedron_vertices,
     hexagon_vertices,
@@ -22,6 +23,9 @@ from .bloch import (
 )
 from .tables import MODEL_CONTEXTS
 
+if TYPE_CHECKING:  # imported for real inside the numeric functions
+    import numpy as np
+
 Context = tuple[str, ...]
 
 
@@ -29,8 +33,9 @@ Context = tuple[str, ...]
 class PovmElement:
     """Weighted rank-1 POVM element: operator = weight * (I + v.sigma)/2.
 
-    ``projector`` and ``operator`` are computed on first use and kept with the
-    element as read-only arrays.
+    The weight lies in (0, 1]: w * P <= I holds for a rank-1 projector P only
+    when w <= 1. ``projector`` and ``operator`` are computed on first use and
+    kept with the element as read-only arrays.
     """
 
     label: str
@@ -38,8 +43,11 @@ class PovmElement:
     direction: BlochVector
 
     def __post_init__(self):
-        if self.weight <= 0:
+        # Written as negations so that a NaN weight fails the first test.
+        if not self.weight > 0:
             raise ValueError(f"element {self.label!r} must have positive weight")
+        if not self.weight <= 1:
+            raise ValueError(f"element {self.label!r} must have weight at most 1")
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -247,7 +255,9 @@ def check_completeness(context: Sequence[str], family: PovmFamily) -> float:
 
     A valid measurement has residual <= 1e-12. Unknown labels raise KeyError.
     """
-    total = -IDENTITY2.copy()
+    import numpy as np
+
+    total = -np.eye(2, dtype=complex)
     for label in context:
         if label not in family.elements:
             raise KeyError(f"missing element: {label!r}")
@@ -257,6 +267,8 @@ def check_completeness(context: Sequence[str], family: PovmFamily) -> float:
 
 def born_probabilities(state: np.ndarray, elements: Sequence[PovmElement]) -> tuple[float, ...]:
     """trace(state * element.operator) for each element, the state checked once."""
+    import numpy as np
+
     state = np.asarray(state, dtype=complex)
     if state.shape != (2, 2) or not is_density_operator(state):
         raise ValueError("invalid state: expected a 2x2 density operator")

@@ -19,6 +19,11 @@ def _malformed_families():
     del missing_direction["elements"][0]["direction"]
     contexts_string = nakamura_family().to_dict()
     contexts_string["contexts"] = "AB"
+    # A weight this large once overflowed the completeness sum: the report
+    # held "residual": Infinity, which is not JSON, and numpy warned on stderr.
+    huge_weights = nakamura_family().to_dict()
+    for element in huge_weights["elements"]:
+        element["weight"] = 1e308
     return [
         pytest.param({"family": 3}, "expected a JSON object, got int", id="not-an-object"),
         pytest.param(
@@ -29,10 +34,17 @@ def _malformed_families():
         pytest.param(
             contexts_string, "'contexts' must be a list of label lists", id="contexts-string"
         ),
+        pytest.param(
+            huge_weights, "element 'A+' must have weight at most 1", id="weight-above-one"
+        ),
     ]
 
 
 MALFORMED_FAMILIES = _malformed_families()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run_cli(capsys, *argv):
@@ -138,8 +150,11 @@ class TestCheck:
     @pytest.mark.parametrize("doc,message", MALFORMED_FAMILIES)
     def test_malformed_family_is_a_plain_error(self, capsys, monkeypatch, doc, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-        code, report = run_json(capsys, "check", "--family-file", "-")
+        code = main(["check", "--family-file", "-"])
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=_reject_constant)
         jsonschema.validate(report, load_schema("check"))
         assert report["passed"] is False
         assert report["error"] == f"invalid family: {message}"
@@ -380,6 +395,17 @@ class TestPinnedDilationOutputs:
         assert out == (PINNED_DIR / f"{command}-{model}.json").read_text()
 
 
+class TestPinnedFamilyOutputs:
+    """``family`` output, byte for byte: every coordinate of both vertex sets,
+    their pair order and their labels."""
+
+    @pytest.mark.parametrize("model", ["nakamura", "cabello"])
+    def test_output(self, capsys, model):
+        code, out = run_cli(capsys, "family", "--model", model)
+        assert code == 0
+        assert out == (PINNED_DIR / f"family-{model}.json").read_text()
+
+
 class TestPinnedKsSearchOutputs:
     """``ks-search`` output, byte for byte, for both models and one colorable
     hypergraph file."""
@@ -431,6 +457,10 @@ class TestStartup:
             pytest.param(("ks-search", "--model", "nakamura"), 3, id="ks-nakamura"),
             pytest.param(("ks-search", "--model", "cabello"), 3, id="ks-cabello"),
             pytest.param(("ks-search", "--hypergraph", "h.txt"), 0, id="ks-hypergraph"),
+            pytest.param(("family", "--model", "nakamura"), 0, id="family-nakamura"),
+            pytest.param(("family", "--model", "cabello"), 0, id="family-cabello"),
+            pytest.param(("feasibility", "--model", "nakamura"), 3, id="feasibility-nakamura"),
+            pytest.param(("feasibility", "--model", "cabello"), 3, id="feasibility-cabello"),
             pytest.param(("simulate", "--model", "nakamura", "--context", "99",
                           "--samples", "1000", "--seed", "1"), 2, id="context-99"),
             pytest.param(("simulate", "--model", "cabello", "--context", "1",
@@ -448,9 +478,28 @@ class TestStartup:
         assert not numpy_loaded
 
     def test_numeric_command_still_runs_from_module(self):
-        proc = run_probe(CLI_PROBE, "family", "--model", "nakamura")
+        proc = run_probe(CLI_PROBE, "check", "--model", "nakamura")
         assert json.loads(proc.stderr) == [0, True]
-        assert json.loads(proc.stdout)["family"]["name"] == "nakamura"
+        assert json.loads(proc.stdout)["family"] == "nakamura"
+
+    def test_combinatorics_load_no_numpy_and_sampling_still_runs(self):
+        # Families, colorability and the one-to-one certificate are geometry
+        # and combinatorics; the first sampling call loads numpy itself and
+        # reproduces TestPinnedReports' nakamura counts.
+        probe = (
+            "import json, sys, qcontext as q\n"
+            "cabello, nakamura = q.cabello_family(), q.nakamura_family()\n"
+            "verdict = q.enumerate_assignments(q.ContextHypergraph.from_contexts(cabello.contexts))\n"
+            "certificate = q.one_to_one_feasibility(cabello)\n"
+            "q.validate_certificate(certificate, cabello)\n"
+            "before = 'numpy' in sys.modules\n"
+            "report = q.simulate_povm(nakamura, 1, q.BlochVector.normalized(-0.5, 0.2, 0.7),"
+            " 270_000, seed=77)\n"
+            "print(json.dumps([before, verdict.valid_count, report.counts]))\n"
+        )
+        proc = run_probe(probe)
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == [False, 0, [120817, 13908, 7657, 127618]]
 
     def test_seedless_simulate_still_draws_a_seed(self, capsys):
         code, doc = run_json(

@@ -924,10 +924,9 @@ def reasoner_families(draw):
         for c in range(n_contexts)
     )
     north = BlochVector(0.0, 0.0, 1.0)
-    elements = {
-        label: PovmElement(label, Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))), north)
-        for label in labels
-    }
+    # An element's weight lies in (0, 1].
+    weights = st.fractions(min_value=Fraction(1, 9), max_value=1, max_denominator=9)
+    elements = {label: PovmElement(label, draw(weights), north) for label in labels}
     return PovmFamily(name="random", elements=elements, contexts=tuple(contexts))
 
 

@@ -56,6 +56,18 @@ class TestStructure:
         assert all(e.weight == Fraction(1, 2) for e in nakamura.elements.values())
         assert all(e.weight == Fraction(1, 4) for e in cabello.elements.values())
 
+    @pytest.mark.parametrize(
+        "weight,message",
+        [
+            (math.nan, "positive weight"),
+            (Fraction(1000001, 1000000), "weight at most 1"),
+        ],
+    )
+    def test_weight_outside_unit_interval_rejected(self, weight, message):
+        with pytest.raises(ValueError, match=message):
+            PovmElement("A+", weight, BlochVector(0.0, 0.0, 1.0))
+        assert PovmElement("A+", Fraction(1), BlochVector(0.0, 0.0, 1.0)).weight == 1
+
     def test_context_pairs_are_antipodal(self, nakamura, cabello):
         for family in (nakamura, cabello):
             for i in range(len(family.contexts)):
