@@ -11,10 +11,11 @@ alone loads no layer. Reading any one of them imports all five layers and
 binds every name in ``__all__``, as eager imports would: a tracer that wraps
 the layers' functions finds every layer loaded and every name bound.
 
-No layer loads numpy at import. Building the families, deciding colorability
-and deriving the one-to-one certificate run without it; each function that
-computes with arrays (operators, completeness, the Born rule, dilations,
-sampling) imports numpy when called.
+No layer loads numpy at import. Building and checking the families,
+deciding colorability and deriving the one-to-one certificate run without
+it; each function that computes with arrays (operator arrays, the Born rule,
+dilations, sampling) imports numpy when called. Of the CLI's commands,
+``simulate``, ``dilate`` and ``audit`` load numpy.
 """
 
 import importlib

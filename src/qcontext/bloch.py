@@ -1,13 +1,14 @@
 """Bloch-sphere geometry: unit vectors, qubit operators, and the two vertex solids.
 
 The geometry is plain Python over float tuples, so building the vertex sets
-and the families loads no numpy. The qubit-operator functions and
-``BlochVector.as_array`` import numpy when called.
+and the families loads no numpy. A qubit operator's plain form is its four
+complex entries: ``projector_entries`` and ``hermitian_min_eigenvalue`` work
+on those. The functions that take or return arrays (``projector_from_bloch``,
+the ``is_*`` tests and ``BlochVector.as_array``) import numpy when called.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -78,20 +79,31 @@ class BlochVector:
         return BlochVector(-self.x, -self.y, -self.z)
 
 
-@functools.cache
-def _pauli_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(I, sigma_x, sigma_y, sigma_z) as read-only complex 2x2 arrays."""
-    import numpy as np
+#: The Pauli basis (I, sigma_x, sigma_y, sigma_z), each matrix as its four
+#: row-major entries.
+_PAULI_ENTRIES = (
+    (1 + 0j, 0j, 0j, 1 + 0j),
+    (0j, 1 + 0j, 1 + 0j, 0j),
+    (0j, -1j, 1j, 0j),
+    (1 + 0j, 0j, 0j, -1 + 0j),
+)
 
-    basis = (
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
+#: A 2x2 operator as its row-major entries (a, b, c, d) = [[a, b], [c, d]].
+Entries = tuple[complex, complex, complex, complex]
+
+
+def projector_entries(v: BlochVector) -> Entries:
+    """Entries of the rank-1 projector (I + v.sigma)/2 along v.
+
+    Every operand is complex, so each product and quotient is the full
+    complex operation that numpy applies to a complex array (Python 3.14
+    multiplies a float into a complex componentwise): the entries carry the
+    bits, signed zeros included, of numpy's evaluation of the same sum.
+    """
+    x, y, z = complex(v.x), complex(v.y), complex(v.z)
+    return tuple(
+        (i + x * sx + y * sy + z * sz) / (2 + 0j) for i, sx, sy, sz in zip(*_PAULI_ENTRIES)
     )
-    for matrix in basis:
-        matrix.flags.writeable = False
-    return basis
 
 
 def projector_from_bloch(v: BlochVector) -> np.ndarray:
@@ -100,8 +112,16 @@ def projector_from_bloch(v: BlochVector) -> np.ndarray:
     Hermitian, idempotent, trace 1; the antipodal direction gives the
     orthogonal complement.
     """
-    identity, sigma_x, sigma_y, sigma_z = _pauli_basis()
-    return (identity + v.x * sigma_x + v.y * sigma_y + v.z * sigma_z) / 2
+    import numpy as np
+
+    return np.array(projector_entries(v), dtype=complex).reshape(2, 2)
+
+
+def hermitian_min_eigenvalue(entries: Entries) -> float:
+    """Smallest eigenvalue of a Hermitian 2x2 operator given by its entries:
+    (a + d)/2 - hypot((a - d)/2, |b|)."""
+    a, b, _, d = entries
+    return (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
 
 
 def is_hermitian(op: np.ndarray, atol: float = ATOL) -> bool:
@@ -118,14 +138,13 @@ def is_projector(op: np.ndarray, atol: float = ATOL) -> bool:
 
 
 def is_density_operator(op: np.ndarray, atol: float = 1e-9) -> bool:
-    """Hermitian, unit trace, positive semidefinite."""
-    import numpy as np
-
-    if not is_hermitian(op, atol):
+    """A 2x2 operator that is Hermitian, of unit trace and positive semidefinite."""
+    if op.shape != (2, 2) or not is_hermitian(op, atol):
         return False
-    if abs(np.trace(op).real - 1.0) > atol:
+    entries = op.ravel().tolist()
+    if abs(entries[0].real + entries[3].real - 1.0) > atol:
         return False
-    return bool(np.min(np.linalg.eigvalsh(op)) >= -atol)
+    return hermitian_min_eigenvalue(entries) >= -atol
 
 
 @dataclass(frozen=True)

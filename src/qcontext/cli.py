@@ -10,11 +10,11 @@ prints as one ``qcontext: error:`` line, with exit 2; only ``-h`` exits by
 ``type=`` or ``choices`` (``--format csv`` is a ``simulate`` flag only).
 
 Each handler imports the modules it uses. The module itself imports only the
-standard library, ``ks`` and ``tables``, and checks ``--model``,
-``--context`` and ``--samples`` against ``tables`` before any family is
-built. The layers import numpy only inside their array functions, so
-``family``, ``ks-search``, ``feasibility`` and the usage errors never load
-it; ``check``, ``simulate``, ``dilate`` and ``audit`` do.
+standard library and ``tables``, and checks ``--model``, ``--context`` and
+``--samples`` against ``tables`` before any family is built. The layers
+import numpy only inside their array functions, so ``family``, ``check``,
+``ks-search``, ``feasibility`` and the usage errors never load it;
+``simulate``, ``dilate`` and ``audit`` do.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .ks import ContextHypergraph, enumerate_assignments, parse_hypergraph
 from .tables import MAX_SAMPLES, MODEL_CONTEXTS
 
 if TYPE_CHECKING:  # imported for real inside the handlers
@@ -122,9 +121,7 @@ def cmd_family(args) -> int:
 def cmd_check(args) -> int:
     if not (args.model or args.family_file):
         raise UsageError("check requires --model or --family-file")
-    import numpy as np
-
-    from .bloch import ATOL
+    from .bloch import ATOL, hermitian_min_eigenvalue
     from .povm import PovmFamily, check_completeness
 
     config = _config(args, "family_file")
@@ -152,10 +149,7 @@ def cmd_check(args) -> int:
         for label in family.elements
     ]
     psd = [
-        {
-            "label": label,
-            "min_eigenvalue": float(np.min(np.linalg.eigvalsh(element.operator))),
-        }
+        {"label": label, "min_eigenvalue": hermitian_min_eigenvalue(element.entries)}
         for label, element in family.elements.items()
     ]
     passed = (
@@ -178,6 +172,8 @@ def cmd_check(args) -> int:
 def cmd_ks_search(args) -> int:
     if not (args.model or args.hypergraph):
         raise UsageError("ks-search requires --model or --hypergraph")
+    from .ks import ContextHypergraph, enumerate_assignments, parse_hypergraph
+
     config = _config(args, "hypergraph", "workers")
     if args.model:
         hypergraph = ContextHypergraph.from_contexts(MODEL_CONTEXTS[args.model])

@@ -1,7 +1,9 @@
 """The Cabello and Nakamura POVM families and Born-rule statistics.
 
-Building, validating and serialising a family loads no numpy; an element's
-``projector`` and ``operator``, ``check_completeness`` and the Born rule do.
+Building, validating, serialising and checking a family loads no numpy: an
+element's operator is kept as its four complex entries, and
+``check_completeness`` sums those. An element's ``projector`` and
+``operator`` arrays and the Born rule import numpy when used.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from typing import TYPE_CHECKING, Sequence
 from .bloch import (
     ATOL,
     BlochVector,
+    Entries,
     dodecahedron_vertices,
     hexagon_vertices,
     is_density_operator,
-    projector_from_bloch,
+    projector_entries,
 )
 from .tables import MODEL_CONTEXTS
 
@@ -34,8 +37,9 @@ class PovmElement:
     """Weighted rank-1 POVM element: operator = weight * (I + v.sigma)/2.
 
     The weight lies in (0, 1]: w * P <= I holds for a rank-1 projector P only
-    when w <= 1. ``projector`` and ``operator`` are computed on first use and
-    kept with the element as read-only arrays.
+    when w <= 1. ``entries``, the operator's four complex entries, and the
+    ``projector`` and ``operator`` arrays are computed on first use and kept
+    with the element, the arrays read-only.
     """
 
     label: str
@@ -50,17 +54,28 @@ class PovmElement:
             raise ValueError(f"element {self.label!r} must have weight at most 1")
 
     @cached_property
+    def entries(self) -> Entries:
+        """Row-major entries of weight * (I + v.sigma)/2."""
+        # A complex weight, as in projector_entries: numpy's complex product.
+        weight = complex(float(self.weight))
+        return tuple(weight * entry for entry in projector_entries(self.direction))
+
+    @cached_property
     def projector(self) -> np.ndarray:
         """(I + v.sigma)/2 for the element's direction."""
-        projector = projector_from_bloch(self.direction)
-        projector.flags.writeable = False
-        return projector
+        return _read_only_matrix(projector_entries(self.direction))
 
     @cached_property
     def operator(self) -> np.ndarray:
-        operator = float(self.weight) * self.projector
-        operator.flags.writeable = False
-        return operator
+        return _read_only_matrix(self.entries)
+
+
+def _read_only_matrix(entries: Entries) -> np.ndarray:
+    import numpy as np
+
+    matrix = np.array(entries, dtype=complex).reshape(2, 2)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -204,6 +219,8 @@ class PovmFamily:
             )
         ):
             raise ValueError("'contexts' must be a list of label lists")
+        if not contexts:
+            raise ValueError("'contexts' must list at least one context")
         try:
             return cls(name=name, elements=elements, contexts=tuple(tuple(c) for c in contexts))
         except KeyError as exc:  # a context names a label no element has
@@ -254,15 +271,14 @@ def check_completeness(context: Sequence[str], family: PovmFamily) -> float:
     """Max-norm residual of (sum of element operators - I) for one context.
 
     A valid measurement has residual <= 1e-12. Unknown labels raise KeyError.
+    The sum starts from -I and adds the operators' entries in context order.
     """
-    import numpy as np
-
-    total = -np.eye(2, dtype=complex)
+    total = [-(1 + 0j), -0j, -0j, -(1 + 0j)]
     for label in context:
         if label not in family.elements:
             raise KeyError(f"missing element: {label!r}")
-        total = total + family.elements[label].operator
-    return float(np.max(np.abs(total)))
+        total = [t + e for t, e in zip(total, family.elements[label].entries)]
+    return max(abs(t) for t in total)
 
 
 def born_probabilities(state: np.ndarray, elements: Sequence[PovmElement]) -> tuple[float, ...]:
@@ -270,7 +286,7 @@ def born_probabilities(state: np.ndarray, elements: Sequence[PovmElement]) -> tu
     import numpy as np
 
     state = np.asarray(state, dtype=complex)
-    if state.shape != (2, 2) or not is_density_operator(state):
+    if not is_density_operator(state):
         raise ValueError("invalid state: expected a 2x2 density operator")
     return tuple(float(np.trace(state @ element.operator).real) for element in elements)
 

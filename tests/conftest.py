@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -15,14 +16,44 @@ def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
-def run_probe(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+def run_probe(code: str, *args: str, cwd=None, stdin: str = "") -> subprocess.CompletedProcess:
     """Run ``python -c code args...`` in a fresh interpreter that imports
-    qcontext from this checkout."""
+    qcontext from this checkout, with ``stdin`` as its standard input."""
     path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True
+        [sys.executable, "-c", code, *args],
+        env=env, cwd=cwd, input=stdin, capture_output=True, text=True,
     )
+
+
+def signed_axes() -> list:
+    """The six signed axes as BlochVectors, each with every sign of its two
+    zero components."""
+    from qcontext import BlochVector
+
+    axes = []
+    for axis, sign, zero_a, zero_b in itertools.product(range(3), (1.0, -1.0), (0.0, -0.0), (0.0, -0.0)):
+        components = [zero_a, zero_b]
+        components.insert(axis, sign)
+        axes.append(BlochVector(*components))
+    return axes
+
+
+def reference_projector(v) -> np.ndarray:
+    """(I + v.sigma)/2 as numpy evaluates it over the Pauli matrices: the
+    exact oracle for ``projector_from_bloch``."""
+    identity = np.eye(2, dtype=complex)
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
+    return (identity + v.x * sigma_x + v.y * sigma_y + v.z * sigma_z) / 2
+
+
+def reference_operator(element) -> np.ndarray:
+    """weight * (I + v.sigma)/2 in numpy: the exact oracle for an element's
+    ``entries`` and ``operator``."""
+    return float(element.weight) * reference_projector(element.direction)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

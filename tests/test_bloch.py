@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from qcontext import (
     inscribed_cubes,
     projector_from_bloch,
 )
-from qcontext.bloch import is_density_operator, is_hermitian, is_projector
+from qcontext.bloch import (
+    hermitian_min_eigenvalue,
+    is_density_operator,
+    is_hermitian,
+    is_projector,
+    projector_entries,
+)
+
+from conftest import reference_projector, signed_axes
 
 ATOL = 1e-12
 
@@ -22,6 +31,25 @@ unit_vectors = st.tuples(
 ).filter(lambda t: math.sqrt(t[0] ** 2 + t[1] ** 2 + t[2] ** 2) > 1e-3).map(
     lambda t: BlochVector.normalized(*t)
 )
+
+
+#: The six signed axes plus random directions: the inputs on which the
+#: plain-Python operators must carry numpy's bits, signed zeros included.
+directions = st.one_of(st.sampled_from(signed_axes()), unit_vectors)
+
+#: Hermitian 2x2 matrices with entries in [-1, 1], as (a, b, conj(b), d).
+hermitian_entries = st.tuples(
+    st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
+).map(lambda t: (complex(t[0]), complex(t[1], t[2]), complex(t[1], -t[2]), complex(t[3])))
+
+
+def _exact_min_eigenvalue(entries) -> float:
+    """(a + d)/2 - sqrt(((a - d)/2)^2 + |b|^2) in 60-digit decimal arithmetic."""
+    a, b, _, d = entries
+    with localcontext() as context:
+        context.prec = 60
+        a, d, b_re, b_im = (Decimal(x) for x in (a.real, d.real, b.real, b.imag))
+        return float((a + d) / 2 - (((a - d) / 2) ** 2 + b_re * b_re + b_im * b_im).sqrt())
 
 
 class TestBlochVector:
@@ -100,6 +128,35 @@ class TestProjectors:
     def test_state_is_density(self, n):
         assert is_density_operator(projector_from_bloch(n))
         assert is_hermitian(projector_from_bloch(n))
+
+    @given(directions)
+    def test_bytes_equal_numpy_pauli_sum(self, v):
+        expected = reference_projector(v)
+        assert projector_from_bloch(v).tobytes() == expected.tobytes()
+        assert projector_entries(v) == tuple(expected.ravel().tolist())
+
+    def test_density_check_is_for_2x2_states(self):
+        assert not is_density_operator(np.eye(3) / 3)
+        assert not is_density_operator(np.eye(2))
+        assert not is_density_operator(np.array([[1.5, 0], [0, -0.5]]))
+        assert is_density_operator(np.eye(2) / 2)
+
+
+class TestMinEigenvalue:
+    @given(hermitian_entries)
+    def test_matches_exact_value(self, entries):
+        assert abs(hermitian_min_eigenvalue(entries) - _exact_min_eigenvalue(entries)) <= 1e-15
+
+    @given(hermitian_entries)
+    def test_matches_eigvalsh(self, entries):
+        # eigvalsh's own rounding reaches 1.1e-15 on these matrices, against
+        # at most 4.5e-16 for the closed form, so the two agree within 2e-15.
+        expected = np.linalg.eigvalsh(np.array(entries).reshape(2, 2))[0]
+        assert abs(hermitian_min_eigenvalue(entries) - expected) <= 2e-15
+
+    def test_rank_one_operators_have_zero_minimum(self):
+        for v in signed_axes():
+            assert hermitian_min_eigenvalue(projector_entries(v)) == 0.0
 
 
 class TestDodecahedron:

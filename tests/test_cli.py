@@ -37,6 +37,11 @@ def _malformed_families():
         pytest.param(
             huge_weights, "element 'A+' must have weight at most 1", id="weight-above-one"
         ),
+        pytest.param(
+            {"name": "x", "elements": [], "contexts": []},
+            "'contexts' must list at least one context",
+            id="empty-family",
+        ),
     ]
 
 
@@ -406,6 +411,17 @@ class TestPinnedFamilyOutputs:
         assert out == (PINNED_DIR / f"family-{model}.json").read_text()
 
 
+class TestPinnedCheckOutputs:
+    """``check`` output, byte for byte: every completeness residual and every
+    positivity row of both models."""
+
+    @pytest.mark.parametrize("model", ["nakamura", "cabello"])
+    def test_output(self, capsys, model):
+        code, out = run_cli(capsys, "check", "--model", model)
+        assert code == 0
+        assert out == (PINNED_DIR / f"check-{model}.json").read_text()
+
+
 class TestPinnedKsSearchOutputs:
     """``ks-search`` output, byte for byte, for both models and one colorable
     hypergraph file."""
@@ -461,6 +477,10 @@ class TestStartup:
             pytest.param(("family", "--model", "cabello"), 0, id="family-cabello"),
             pytest.param(("feasibility", "--model", "nakamura"), 3, id="feasibility-nakamura"),
             pytest.param(("feasibility", "--model", "cabello"), 3, id="feasibility-cabello"),
+            pytest.param(("check", "--model", "nakamura"), 0, id="check-nakamura"),
+            pytest.param(("check", "--model", "cabello"), 0, id="check-cabello"),
+            pytest.param(("check", "--family-file", "family.json"), 0, id="check-file"),
+            pytest.param(("check", "--family-file", "-"), 0, id="check-stdin"),
             pytest.param(("simulate", "--model", "nakamura", "--context", "99",
                           "--samples", "1000", "--seed", "1"), 2, id="context-99"),
             pytest.param(("simulate", "--model", "cabello", "--context", "1",
@@ -472,15 +492,27 @@ class TestStartup:
     )
     def test_non_numeric_command_loads_no_numpy(self, tmp_path, argv, expected_code):
         (tmp_path / "h.txt").write_text("a,b\nc,d\na,c,e\n")
-        proc = run_probe(CLI_PROBE, *argv, cwd=tmp_path)
+        family = nakamura_family().to_json()
+        (tmp_path / "family.json").write_text(family)
+        proc = run_probe(CLI_PROBE, *argv, cwd=tmp_path, stdin=family)
         code, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
         assert code == expected_code
         assert not numpy_loaded
 
     def test_numeric_command_still_runs_from_module(self):
-        proc = run_probe(CLI_PROBE, "check", "--model", "nakamura")
+        proc = run_probe(CLI_PROBE, "dilate", "--model", "nakamura")
         assert json.loads(proc.stderr) == [0, True]
         assert json.loads(proc.stdout)["family"] == "nakamura"
+
+    def test_family_loads_no_colorability_decider(self):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from qcontext.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['family', '--model', 'cabello'])\n"
+            "print(code, 'qcontext.ks' in sys.modules)\n"
+        )
+        assert run_probe(probe).stdout.strip() == "0 False"
 
     def test_combinatorics_load_no_numpy_and_sampling_still_runs(self):
         # Families, colorability and the one-to-one certificate are geometry

@@ -40,7 +40,13 @@ from qcontext.dilation import (
 )
 from qcontext.povm import PovmFamily
 
-from conftest import haar_unitary, random_density, random_projector
+from conftest import (
+    haar_unitary,
+    random_density,
+    random_projector,
+    reference_operator,
+    reference_projector,
+)
 
 ATOL = 1e-12
 
@@ -393,10 +399,6 @@ class TestUniformAncilla:
 # in qcontext.dilation must reproduce every residual exactly.
 
 
-def _reference_operator(element) -> np.ndarray:
-    return float(element.weight) * projector_from_bloch(element.direction)
-
-
 def _reference_contribution(ancilla_state, projector) -> np.ndarray:
     n = ancilla_state.shape[0]
     lifted = np.kron(ancilla_state, np.eye(2, dtype=complex)) @ projector
@@ -426,7 +428,7 @@ def _reference_verify_dilation(scheme, family, context_index) -> DilationReport:
     element_residuals = {}
     for label, op in scheme.projectors:
         realized = _reference_contribution(scheme.ancilla_state, op)
-        expected = _reference_operator(family.elements[label])
+        expected = reference_operator(family.elements[label])
         element_residuals[label] = float(np.max(np.abs(realized - expected)))
     filler_residuals = tuple(
         float(np.max(np.abs(_reference_contribution(scheme.ancilla_state, op))))
@@ -684,8 +686,8 @@ class TestElementOperators:
         for element in family.elements.values():
             fresh = PovmElement(element.label, element.weight, element.direction)
             for op, expected in (
-                (fresh.projector, projector_from_bloch(element.direction)),
-                (fresh.operator, _reference_operator(element)),
+                (fresh.projector, reference_projector(element.direction)),
+                (fresh.operator, reference_operator(element)),
             ):
                 assert op.tobytes() == expected.tobytes()
                 assert not op.flags.writeable

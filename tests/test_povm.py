@@ -18,6 +18,8 @@ from qcontext import (
     projector_from_bloch,
 )
 
+from conftest import reference_operator, signed_axes
+
 ATOL = 1e-12
 
 state_directions = st.tuples(
@@ -129,6 +131,22 @@ class TestStructure:
         assert hv.MAX_SAMPLES is tables.MAX_SAMPLES
 
 
+def _reference_completeness_sum(context, family) -> np.ndarray:
+    """check_completeness's sum as numpy arrays: -I plus the operators."""
+    total = -np.eye(2, dtype=complex)
+    for label in context:
+        total = total + reference_operator(family.elements[label])
+    return total
+
+
+@st.composite
+def context_subsets(draw):
+    """A model family and an ordered subset of its element labels."""
+    family = draw(st.sampled_from([nakamura_family(), cabello_family()]))
+    labels = draw(st.lists(st.sampled_from(list(family.elements)), unique=True))
+    return family, labels
+
+
 class TestCompleteness:
     def test_all_contexts_resolve_identity(self, nakamura, cabello):
         for family in (nakamura, cabello):
@@ -156,6 +174,38 @@ class TestCompleteness:
     def test_unknown_label(self, nakamura):
         with pytest.raises(KeyError, match="missing element"):
             check_completeness(("A+", "Q-"), nakamura)
+
+    @given(context_subsets())
+    def test_residual_equals_numpy_oracle(self, case):
+        family, labels = case
+        residual = check_completeness(labels, family)
+        total = _reference_completeness_sum(labels, family)
+        # The sums agree bit for bit, so Python's abs of numpy's sum is exact.
+        assert residual == max(abs(entry) for entry in total.ravel().tolist())
+        # np.abs of a complex128 array may round its modulus one ulp away
+        # from hypot's: on cabello's A+ A- H- B+ B- C+ C- it reads
+        # 0.12500000000000003, where the exact modulus rounds to 0.125.
+        assert abs(residual - float(np.max(np.abs(total)))) <= math.ulp(residual)
+
+
+class TestElementEntries:
+    @given(
+        st.one_of(
+            st.sampled_from(signed_axes()),
+            state_directions,
+        ),
+        st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda w: w > 0),
+    )
+    def test_entries_and_operator_carry_numpy_bits(self, direction, weight):
+        element = PovmElement("X+", weight, direction)
+        expected = reference_operator(element)
+        assert element.operator.tobytes() == expected.tobytes()
+        assert np.array(element.entries).tobytes() == expected.tobytes()
+
+    def test_entries_are_kept_as_python_complex(self, cabello):
+        element = cabello.elements["A+"]
+        assert element.entries is element.entries
+        assert all(type(entry) is complex for entry in element.entries)
 
 
 class TestBornProbability:
@@ -286,6 +336,7 @@ class TestSerialization:
             (("contexts",), "AB", "'contexts' must be a list of label lists"),
             (("contexts", 0), [1, 2], "'contexts' must be a list of label lists"),
             (("contexts", 0, 0), "Z+", "missing element: context references 'Z+'"),
+            (("contexts",), [], "'contexts' must list at least one context"),
         ],
     )
     def test_malformed_document_rejected(self, nakamura, path, value, message):
