@@ -12,10 +12,12 @@ binds every name in ``__all__``, as eager imports would: a tracer that wraps
 the layers' functions finds every layer loaded and every name bound.
 
 No layer loads numpy at import. Building and checking the families,
-deciding colorability and deriving the one-to-one certificate run without
-it; each function that computes with arrays (operator arrays, the Born rule,
-dilations, sampling) imports numpy when called. Of the CLI's commands,
-``simulate``, ``dilate`` and ``audit`` load numpy.
+deciding colorability, building and auditing the dilations and deriving the
+one-to-one certificate run without it: a qubit operator is its four complex
+entries, and a dilation's extended projector |k><k| (x) V is its (slot, V)
+pair. Each function that computes with arrays (operator arrays, the Born
+rule, sampling) imports numpy when called. Of the CLI's commands, only
+``simulate`` loads numpy.
 """
 
 import importlib
@@ -54,8 +56,6 @@ __all__ = [
     "one_to_one_feasibility",
     "parity_obstruction",
     "parse_hypergraph",
-    "partial_trace_over_ancilla",
-    "povm_contribution",
     "projector_from_bloch",
     "sequential_dilation",
     "simulate_povm",

@@ -12,9 +12,10 @@ prints as one ``qcontext: error:`` line, with exit 2; only ``-h`` exits by
 Each handler imports the modules it uses. The module itself imports only the
 standard library and ``tables``, and checks ``--model``, ``--context`` and
 ``--samples`` against ``tables`` before any family is built. The layers
-import numpy only inside their array functions, so ``family``, ``check``,
-``ks-search``, ``feasibility`` and the usage errors never load it;
-``simulate``, ``dilate`` and ``audit`` do.
+import numpy only inside their array functions, so only ``simulate`` loads
+it: ``dilate`` and ``audit`` work on each extended projector's (slot, V)
+pair, V a qubit projector's four complex entries, and the usage errors
+never reach a layer.
 """
 
 from __future__ import annotations

@@ -3,24 +3,26 @@
 A dilation realizes each POVM element as a von Neumann projector on
 ancilla (x) qubit, with the element recovered by tracing the ancilla out
 against a fixed ancilla state. This module builds the sequential dilation
-(ancilla basis slot per antipodal pair), verifies it numerically, compares
-the extended projectors an element receives in its two contexts, and
-machine-checks that no slot assignment — indeed no one-to-one projector
-correspondence at all — can serve both families.
+(ancilla basis slot per antipodal pair), verifies it, compares the extended
+projectors an element receives in its two contexts, and machine-checks that
+no slot assignment — indeed no one-to-one projector correspondence at all —
+can serve both families.
+
+A sequential dilation's extended projectors are all |k><k| (x) V: one ancilla
+slot k and one qubit projector V. A scheme keeps each as its (slot, V) pair,
+V as its four complex entries, and every check is 2x2 algebra on those. The
+ancilla starts in the uniform superposition over its N slots, so the
+projector on slot k realizes V/N. Two projectors on different slots multiply
+to exactly 0, so orthogonality needs only the products within a slot, and
+completeness holds slot by slot. Two contexts give an element the same
+extended projector exactly when they give it the same slot and the same V.
+None of it loads an array library.
 
 The one-to-one reasoner is one derivation per element over a
 ``ConstraintGraph``, whose only data are the per-context completeness
 groups: it computes the element's confinements and its route (direct, or
 intersection with its eliminations), then emits every certificate step
 through one step function.
-
-The numeric checks run on stacked projectors: a context's projectors form
-one (M, 2N, 2N) array, so its partial traces, pairwise products and
-completeness sum are one numpy call each, as are the differences of the
-extension audit. Each entry is computed with the same arithmetic as one
-call per projector (or pair), so every residual is bit-for-bit the same.
-Only these array functions import numpy, when called: the slot count and the
-one-to-one reasoner are combinatorics and run without it.
 """
 
 from __future__ import annotations
@@ -29,73 +31,62 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable, Sequence
 
-from .bloch import ATOL
+from .bloch import ATOL, Entries
 from .ks import ContextHypergraph, enumerate_assignments
 from .povm import PovmFamily
 
-if TYPE_CHECKING:  # imported for real inside the array functions
-    import numpy as np
+#: An extended projector |slot><slot| (x) V as its slot and V's entries.
+SlotProjector = tuple[int, Entries]
+
+_IDENTITY: Entries = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
-def partial_trace_over_ancilla(op: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """Trace out the first (ancilla) factor of an operator on C^N (x) C^2.
-
-    Takes one operator or a stack of them, shape (..., 2N, 2N).
-    """
-    import numpy as np
-
-    op = np.asarray(op)
-    dim = 2 * ancilla_dim
-    if op.ndim < 2 or op.shape[-2:] != (dim, dim):
-        raise ValueError(
-            f"invalid scheme: operator shape {op.shape} does not match ancilla dim {ancilla_dim}"
-        )
-    split = op.reshape(op.shape[:-2] + (ancilla_dim, 2, ancilla_dim, 2))
-    return np.einsum("...aiaj->...ij", split)
+def _max_norm(entries: Iterable[complex]) -> float:
+    """The largest modulus of the entries, 0.0 for none, and NaN when any is
+    NaN (Python's max keeps a NaN only when it comes first)."""
+    moduli = [abs(z) for z in entries]
+    return math.nan if any(map(math.isnan, moduli)) else max(moduli, default=0.0)
 
 
-def povm_contribution(ancilla_state: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """The qubit operator Tr_A{(rho_A (x) I) P} realized by an extended projector
-    (or by each projector of a stack)."""
-    import numpy as np
-
-    n = ancilla_state.shape[0]
-    # np.kron(ancilla_state, I2) written out: the same products, without
-    # kron's per-call overhead.
-    identity = np.eye(2, dtype=complex)
-    kron = np.asarray(ancilla_state).reshape(n, 1, n, 1) * identity.reshape(1, 2, 1, 2)
-    lifted = kron.reshape(2 * n, 2 * n) @ projector
-    return partial_trace_over_ancilla(lifted, n)
+def _product(a: Entries, b: Entries) -> Entries:
+    """The 2x2 matrix product a @ b."""
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
 
 
-def uniform_ancilla_state(dim: int) -> np.ndarray:
-    """Density matrix of the equally weighted superposition over dim basis kets."""
-    import numpy as np
-
-    return np.full((dim, dim), 1.0 / dim, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DilationScheme:
-    """Extended projectors realizing one context via a shared ancilla state.
+    """Extended projectors realizing one context with a uniform ancilla.
 
-    ``projectors`` pairs each element label with its projector on the
-    2*ancilla_dim space, in slot order; ``fillers`` are any extra projectors
-    completing the resolution of identity without contributing to the POVM.
+    ``projectors`` pairs each element label with its extended projector
+    |slot><slot| (x) V, as (slot, V entries), in projector order; the ancilla
+    is prepared in the uniform superposition over ``ancilla_dim`` slots.
     """
 
     ancilla_dim: int
-    ancilla_state: np.ndarray
     context_index: int
-    projectors: tuple[tuple[str, np.ndarray], ...]
-    fillers: tuple[np.ndarray, ...] = ()
+    projectors: tuple[tuple[str, SlotProjector], ...]
 
-    def projector_for(self, label: str) -> np.ndarray:
-        for candidate, op in self.projectors:
+    def __post_init__(self):
+        if self.ancilla_dim < 1:
+            raise ValueError(f"invalid scheme: ancilla dimension {self.ancilla_dim} has no slot")
+        for label, (slot, _) in self.projectors:
+            if slot not in range(self.ancilla_dim):
+                raise ValueError(
+                    f"invalid scheme: {label} slot {slot!r} outside an ancilla of "
+                    f"dimension {self.ancilla_dim}"
+                )
+
+    def projector_for(self, label: str) -> SlotProjector:
+        for candidate, projector in self.projectors:
             if candidate == label:
-                return op
+                return projector
         raise KeyError(f"missing element: scheme has no projector for {label!r}")
 
 
@@ -106,12 +97,10 @@ def sequential_dilation(
 
     The ancilla is prepared in the uniform superposition over N basis kets
     (N = pair count), and the pair on slot k gets projectors |k><k| (x) V(+-v).
-    The 2N projectors resolve the identity, so no fillers are needed. By
-    default pairs take slots in context listing order; ``slot_order`` gives
-    the pair index occupying each slot.
+    The 2N projectors resolve the identity. By default pairs take slots in
+    context listing order; ``slot_order`` gives the pair index occupying each
+    slot.
     """
-    import numpy as np
-
     pairs = family.context_pairs(context_index)
     n_slots = len(pairs)
     if n_slots == 0:
@@ -120,32 +109,27 @@ def sequential_dilation(
         slot_order = tuple(range(n_slots))
     if sorted(slot_order) != list(range(n_slots)):
         raise ValueError(f"invalid context: slot order {slot_order!r} is not a permutation")
-
-    # |k><k| (x) V is V on the k-th diagonal 2x2 block and zero elsewhere.
-    stack = np.zeros((2 * n_slots, 2 * n_slots, 2 * n_slots), dtype=complex)
-    projectors = []
-    for slot, pair_index in enumerate(slot_order):
-        block = slice(2 * slot, 2 * slot + 2)
-        for label in pairs[pair_index]:
-            op = stack[len(projectors)]
-            op[block, block] = family.elements[label].projector
-            projectors.append((label, op))
-
     return DilationScheme(
         ancilla_dim=n_slots,
-        ancilla_state=uniform_ancilla_state(n_slots),
         context_index=context_index,
-        projectors=tuple(projectors),
+        projectors=tuple(
+            (label, (slot, family.elements[label].projector_entries))
+            for slot, pair_index in enumerate(slot_order)
+            for label in pairs[pair_index]
+        ),
     )
 
 
 @dataclass(frozen=True)
 class DilationReport:
-    """Max-norm residuals of the four dilation contracts for one context."""
+    """Max-norm residuals of the dilation contracts for one context.
+
+    ``to_dict`` writes ``filler_residuals`` as ``[]``: a sequential dilation
+    resolves the identity with its element projectors alone.
+    """
 
     context_index: int
     element_residuals: dict[str, float]
-    filler_residuals: tuple[float, ...]
     orthogonality_residual: float
     completeness_residual: float
 
@@ -153,7 +137,6 @@ class DilationReport:
     def max_residual(self) -> float:
         values = [self.orthogonality_residual, self.completeness_residual]
         values.extend(self.element_residuals.values())
-        values.extend(self.filler_residuals)
         # max() keeps a NaN only when it comes first; any NaN must fail passed().
         return math.nan if any(math.isnan(v) for v in values) else max(values)
 
@@ -164,7 +147,7 @@ class DilationReport:
         return {
             "context": self.context_index + 1,
             "element_residuals": dict(self.element_residuals),
-            "filler_residuals": list(self.filler_residuals),
+            "filler_residuals": [],
             "orthogonality_residual": self.orthogonality_residual,
             "completeness_residual": self.completeness_residual,
             "max_residual": self.max_residual,
@@ -174,10 +157,8 @@ class DilationReport:
 def verify_dilation(
     scheme: DilationScheme, family: PovmFamily, context_index: int
 ) -> DilationReport:
-    """Check a scheme against its context: recovered elements, silent fillers,
-    mutual orthogonality, and completeness on the extended space."""
-    import numpy as np
-
+    """Check a scheme against its context: recovered elements, mutual
+    orthogonality, and completeness on the extended space."""
     if not 0 <= context_index < len(family.contexts):
         raise ValueError(f"invalid context index {context_index}")
     context = family.contexts[context_index]
@@ -186,39 +167,34 @@ def verify_dilation(
         raise ValueError(
             f"invalid scheme: projector labels {scheme_labels!r} do not match context {context!r}"
         )
-    dim = 2 * scheme.ancilla_dim
-    if scheme.ancilla_state.shape != (scheme.ancilla_dim, scheme.ancilla_dim):
-        raise ValueError("invalid scheme: ancilla state shape mismatch")
-    all_ops = [op for _, op in scheme.projectors] + list(scheme.fillers)
-    for op in all_ops:
-        if op.shape != (dim, dim):
-            raise ValueError(f"invalid scheme: projector shape {op.shape} on dimension {dim}")
 
-    # Every projector, then every filler, stacked; the reshapes keep an empty
-    # scheme 3-D. The batched matmul and einsum compute each entry as the
-    # one-matrix calls would.
-    stack = np.array(all_ops).reshape(-1, dim, dim)
-    realized = povm_contribution(scheme.ancilla_state, stack)
-    expected = np.array(
-        [family.elements[label].operator for label in scheme_labels]
-    ).reshape(-1, 2, 2)
-    n_elements = len(scheme_labels)
-    residuals = np.abs(realized[:n_elements] - expected).max(axis=(1, 2)).tolist()
-    filler_residuals = np.abs(realized[n_elements:]).max(axis=(1, 2)).tolist()
+    # Tracing out the uniform ancilla weights slot k's V by its population 1/N.
+    population = complex(1 / scheme.ancilla_dim)
+    element_residuals = {}
+    by_slot: list[list[Entries]] = [[] for _ in range(scheme.ancilla_dim)]
+    for label, (slot, v) in scheme.projectors:
+        expected = family.elements[label].entries
+        element_residuals[label] = _max_norm(population * x - e for x, e in zip(v, expected))
+        by_slot[slot].append(v)
 
-    # Index pairs i < j, as np.triu_indices gives them, without its overhead.
-    first, second = np.nonzero(~np.tri(len(stack), dtype=bool))
-    products = stack[first] @ stack[second]
-    orthogonality = float(np.abs(products).max()) if len(products) else 0.0
-
-    completeness = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
+    orthogonality = _max_norm(
+        z
+        for vs in by_slot
+        for a, b in itertools.combinations(vs, 2)
+        for z in _product(a, b)
+    )
+    completeness = []
+    for vs in by_slot:
+        total = (0j,) * 4
+        for v in vs:
+            total = tuple(t + x for t, x in zip(total, v))
+        completeness.extend(t - i for t, i in zip(total, _IDENTITY))
 
     return DilationReport(
         context_index=context_index,
-        element_residuals=dict(zip(scheme_labels, residuals)),
-        filler_residuals=tuple(filler_residuals),
+        element_residuals=element_residuals,
         orthogonality_residual=orthogonality,
-        completeness_residual=completeness,
+        completeness_residual=_max_norm(completeness),
     )
 
 
@@ -245,43 +221,32 @@ def extension_audit(
 ) -> tuple[AuditEntry, ...]:
     """Compare each shared element's extended projectors entrywise.
 
-    All schemes must share the ancilla dimension and state; elements occurring
-    in a single context produce no entries.
+    ``schemes[i]`` must dilate context i, and all schemes must share the
+    ancilla dimension; elements occurring in a single context produce no
+    entries. On one slot the projectors differ by their V's difference; on
+    two slots each keeps its whole V, so the difference is the larger V.
     """
-    import numpy as np
-
     if len(schemes) != len(family.contexts):
         raise ValueError("incomparable schemes: need one scheme per context")
-    if not schemes:
-        return ()
-    first = schemes[0]
-    for scheme in schemes[1:]:
-        if scheme.ancilla_dim != first.ancilla_dim or np.max(
-            np.abs(scheme.ancilla_state - first.ancilla_state)
-        ) > ATOL:
-            raise ValueError("incomparable schemes: ancilla dimension or state differs")
-    dim = 2 * first.ancilla_dim
-    for scheme in schemes:
-        for label, op in scheme.projectors:
-            if op.shape != (dim, dim):
-                raise ValueError(
-                    f"incomparable schemes: {label} projector shape {op.shape} on dimension {dim}"
-                )
+    for i, scheme in enumerate(schemes):
+        if scheme.context_index != i:
+            raise ValueError(
+                f"incomparable schemes: scheme {i + 1} dilates context {scheme.context_index + 1}"
+            )
+        if scheme.ancilla_dim != schemes[0].ancilla_dim:
+            raise ValueError("incomparable schemes: ancilla dimension differs")
 
-    pairs = [
-        (label, i, j)
-        for label in family.elements
-        for i, j in itertools.combinations(family.element_contexts(label), 2)
-    ]
-    if not pairs:
-        return ()
-    left = np.array([schemes[i].projector_for(label) for label, i, _ in pairs])
-    right = np.array([schemes[j].projector_for(label) for label, _, j in pairs])
-    diffs = np.abs(left - right).max(axis=(1, 2)).tolist()
-    return tuple(
-        AuditEntry(label=label, context_indices=(i, j), equal=diff <= ATOL, max_difference=diff)
-        for (label, i, j), diff in zip(pairs, diffs)
-    )
+    entries = []
+    for label in family.elements:
+        for i, j in itertools.combinations(family.element_contexts(label), 2):
+            slot_i, v_i = schemes[i].projector_for(label)
+            slot_j, v_j = schemes[j].projector_for(label)
+            if slot_i == slot_j:
+                diff = _max_norm(a - b for a, b in zip(v_i, v_j))
+            else:
+                diff = _max_norm(v_i + v_j)
+            entries.append(AuditEntry(label, (i, j), diff <= ATOL, diff))
+    return tuple(entries)
 
 
 def count_consistent_slot_assignments(family: PovmFamily) -> int:

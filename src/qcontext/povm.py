@@ -1,9 +1,9 @@
 """The Cabello and Nakamura POVM families and Born-rule statistics.
 
 Building, validating, serialising and checking a family loads no numpy: an
-element's operator is kept as its four complex entries, and
-``check_completeness`` sums those. An element's ``projector`` and
-``operator`` arrays and the Born rule import numpy when used.
+element's projector and operator are kept as their four complex entries, and
+``check_completeness`` sums the operators'. An element's ``operator`` array
+and the Born rule import numpy when used.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ class PovmElement:
     """Weighted rank-1 POVM element: operator = weight * (I + v.sigma)/2.
 
     The weight lies in (0, 1]: w * P <= I holds for a rank-1 projector P only
-    when w <= 1. ``entries``, the operator's four complex entries, and the
-    ``projector`` and ``operator`` arrays are computed on first use and kept
-    with the element, the arrays read-only.
+    when w <= 1. ``projector_entries`` and ``entries``, the four complex
+    entries of the projector and of the operator, and the read-only
+    ``operator`` array are computed on first use and kept with the element.
     """
 
     label: str
@@ -54,28 +54,24 @@ class PovmElement:
             raise ValueError(f"element {self.label!r} must have weight at most 1")
 
     @cached_property
+    def projector_entries(self) -> Entries:
+        """Row-major entries of (I + v.sigma)/2 for the element's direction."""
+        return projector_entries(self.direction)
+
+    @cached_property
     def entries(self) -> Entries:
         """Row-major entries of weight * (I + v.sigma)/2."""
         # A complex weight, as in projector_entries: numpy's complex product.
         weight = complex(float(self.weight))
-        return tuple(weight * entry for entry in projector_entries(self.direction))
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        """(I + v.sigma)/2 for the element's direction."""
-        return _read_only_matrix(projector_entries(self.direction))
+        return tuple(weight * entry for entry in self.projector_entries)
 
     @cached_property
     def operator(self) -> np.ndarray:
-        return _read_only_matrix(self.entries)
+        import numpy as np
 
-
-def _read_only_matrix(entries: Entries) -> np.ndarray:
-    import numpy as np
-
-    matrix = np.array(entries, dtype=complex).reshape(2, 2)
-    matrix.flags.writeable = False
-    return matrix
+        matrix = np.array(self.entries, dtype=complex).reshape(2, 2)
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True)

@@ -481,6 +481,10 @@ class TestStartup:
             pytest.param(("check", "--model", "cabello"), 0, id="check-cabello"),
             pytest.param(("check", "--family-file", "family.json"), 0, id="check-file"),
             pytest.param(("check", "--family-file", "-"), 0, id="check-stdin"),
+            pytest.param(("dilate", "--model", "nakamura"), 0, id="dilate-nakamura"),
+            pytest.param(("dilate", "--model", "cabello"), 0, id="dilate-cabello"),
+            pytest.param(("audit", "--model", "nakamura"), 0, id="audit-nakamura"),
+            pytest.param(("audit", "--model", "cabello"), 0, id="audit-cabello"),
             pytest.param(("simulate", "--model", "nakamura", "--context", "99",
                           "--samples", "1000", "--seed", "1"), 2, id="context-99"),
             pytest.param(("simulate", "--model", "cabello", "--context", "1",
@@ -500,9 +504,12 @@ class TestStartup:
         assert not numpy_loaded
 
     def test_numeric_command_still_runs_from_module(self):
-        proc = run_probe(CLI_PROBE, "dilate", "--model", "nakamura")
+        proc = run_probe(
+            CLI_PROBE, "simulate", "--model", "nakamura", "--context", "1",
+            "--samples", "1000", "--seed", "1",
+        )
         assert json.loads(proc.stderr) == [0, True]
-        assert json.loads(proc.stdout)["family"] == "nakamura"
+        assert json.loads(proc.stdout)["report"]["family"] == "nakamura"
 
     def test_family_loads_no_colorability_decider(self):
         probe = (

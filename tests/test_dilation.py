@@ -18,8 +18,6 @@ from qcontext import (
     extension_audit,
     nakamura_family,
     one_to_one_feasibility,
-    partial_trace_over_ancilla,
-    povm_contribution,
     projector_from_bloch,
     sequential_dilation,
     validate_certificate,
@@ -36,7 +34,6 @@ from qcontext.dilation import (
     ContradictionCertificate,
     element_atom,
     filler_atom,
-    uniform_ancilla_state,
 )
 from qcontext.povm import PovmFamily
 
@@ -52,33 +49,35 @@ ATOL = 1e-12
 
 
 class TestPartialTrace:
+    """The dense oracle's partial trace and POVM contribution."""
+
     def test_traces_out_first_factor(self):
         rng = np.random.default_rng(0)
         rho = random_density(4, rng)
         q = random_density(2, rng)
-        recovered = partial_trace_over_ancilla(np.kron(rho, q), 4)
+        recovered = _reference_partial_trace(np.kron(rho, q), 4)
         assert np.max(np.abs(recovered - np.trace(rho) * q)) <= 1e-12
 
     def test_contribution_weights_by_ancilla_population(self):
         state = np.diag([0.7, 0.3]).astype(complex)
         basis1 = np.diag([0.0, 1.0]).astype(complex)
         v = random_projector(2, 1, np.random.default_rng(1))
-        out = povm_contribution(state, np.kron(basis1, v))
+        out = _reference_contribution(state, np.kron(basis1, v))
         assert np.max(np.abs(out - 0.3 * v)) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="invalid scheme"):
-            partial_trace_over_ancilla(np.eye(6), 4)
+            _reference_partial_trace(np.eye(6), 4)
         with pytest.raises(ValueError, match="invalid scheme"):
-            partial_trace_over_ancilla(np.ones(8), 4)
+            _reference_partial_trace(np.ones(8), 4)
 
     def test_stack_traces_each_operator(self):
         rng = np.random.default_rng(5)
         stack = np.array([random_density(8, rng) for _ in range(3)]).reshape(3, 1, 8, 8)
-        traced = partial_trace_over_ancilla(stack, 4)
+        traced = _reference_partial_trace(stack, 4)
         assert traced.shape == (3, 1, 2, 2)
         for op, out in zip(stack[:, 0], traced[:, 0]):
-            assert out.tobytes() == partial_trace_over_ancilla(op, 4).tobytes()
+            assert out.tobytes() == _reference_partial_trace(op, 4).tobytes()
 
 
 class TestSequentialDilation:
@@ -86,16 +85,16 @@ class TestSequentialDilation:
         scheme = sequential_dilation(nakamura, 0)
         assert scheme.ancilla_dim == 2
         assert [label for label, _ in scheme.projectors] == ["A+", "A-", "B+", "B-"]
-        for _, op in scheme.projectors:
-            assert op.shape == (4, 4)
-        # Uniform superposition over two ancilla kets.
-        assert np.array_equal(scheme.ancilla_state, np.full((2, 2), 0.5, dtype=complex))
+        assert [slot for _, (slot, _) in scheme.projectors] == [0, 0, 1, 1]
+        # V is the element's own cached projector, not a copy.
+        for label, (_, v) in scheme.projectors:
+            assert v is nakamura.elements[label].projector_entries
 
     def test_recovers_elements_exactly(self, nakamura):
-        scheme = sequential_dilation(nakamura, 0)
-        for label, op in scheme.projectors:
-            realized = povm_contribution(scheme.ancilla_state, op)
-            expected = nakamura.elements[label].operator
+        dense = _embed(sequential_dilation(nakamura, 0))
+        for label, op in dense.projectors:
+            realized = _reference_contribution(dense.ancilla_state, op)
+            expected = reference_operator(nakamura.elements[label])
             assert np.max(np.abs(realized - expected)) <= ATOL
 
     def test_all_contexts_verify(self, nakamura, cabello):
@@ -118,24 +117,21 @@ class TestSequentialDilation:
         with pytest.raises(ValueError, match="invalid context: context 1 has no pairs"):
             sequential_dilation(family, 0)
 
+    def test_slot_outside_ancilla_rejected(self, nakamura):
+        # |1><1| (x) V does not live on a one-slot ancilla's space.
+        scheme = sequential_dilation(nakamura, 0)
+        with pytest.raises(
+            ValueError, match=r"invalid scheme: B\+ slot 1 outside an ancilla of dimension 1"
+        ):
+            replace(scheme, ancilla_dim=1)
+        with pytest.raises(ValueError, match="invalid scheme: A\\+ slot -1"):
+            DilationScheme(2, 0, (("A+", (-1, scheme.projectors[0][1][1])),))
+        # Without a slot there is no ancilla state to trace out against.
+        with pytest.raises(ValueError, match="invalid scheme: ancilla dimension 0 has no slot"):
+            DilationScheme(0, 0, ())
+
 
 class TestVerifyDilation:
-    def test_ground_ancilla_breaks_partial_trace(self, nakamura):
-        # With the ancilla forced to |0><0|, slot 0 fires with probability 1:
-        # the A pair comes back unhalved and the B pair vanishes.
-        scheme = sequential_dilation(nakamura, 0)
-        ground = np.zeros((2, 2), dtype=complex)
-        ground[0, 0] = 1.0
-        broken = replace(scheme, ancilla_state=ground)
-        report = verify_dilation(broken, nakamura, 0)
-        assert report.element_residuals["A+"] == pytest.approx(0.5, abs=ATOL)
-        assert report.element_residuals["A-"] == pytest.approx(0.5, abs=ATOL)
-        expected_b = float(np.max(np.abs(nakamura.elements["B+"].operator)))
-        assert report.element_residuals["B+"] == pytest.approx(expected_b, abs=ATOL)
-        # The projector set itself is untouched.
-        assert report.orthogonality_residual <= ATOL
-        assert report.completeness_residual <= ATOL
-
     def test_swapped_projectors_flag_exactly_those_labels(self, nakamura):
         scheme = sequential_dilation(nakamura, 0)
         projectors = dict(scheme.projectors)
@@ -155,45 +151,30 @@ class TestVerifyDilation:
             verify_dilation(scheme, nakamura, 1)
 
     def test_nan_residual_fails(self, nakamura):
-        # max() would drop these NaNs behind the finite first residual.
+        # A NaN in V's last entry only: max() would drop it behind the finite
+        # moduli of the first three.
         scheme = sequential_dilation(nakamura, 0)
-        broken = replace(scheme, ancilla_state=np.full((2, 2), np.nan))
+        broken = replace(
+            scheme,
+            projectors=tuple(
+                (label, (slot, v[:3] + (complex(math.nan, 0.0),)))
+                for label, (slot, v) in scheme.projectors
+            ),
+        )
         report = verify_dilation(broken, nakamura, 0)
         assert all(math.isnan(r) for r in report.element_residuals.values())
+        assert math.isnan(report.orthogonality_residual)
+        assert math.isnan(report.completeness_residual)
         assert math.isnan(report.max_residual)
         assert not report.passed()
+        reference = _reference_verify_dilation(_embed(broken), nakamura, 0)
+        assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
 
     @pytest.mark.parametrize("index", [-3, -1, 3])
     def test_context_index_out_of_range(self, nakamura, index):
         scheme = sequential_dilation(nakamura, 0)
         with pytest.raises(ValueError, match=f"invalid context index {index}"):
             verify_dilation(scheme, nakamura, index)
-
-    def test_fillers_report_their_contribution(self, nakamura):
-        # Add an explicit filler on an extended (dim 8) space: slots 0,1 carry
-        # the pairs, slot 2 is dead weight orthogonal to the ancilla state.
-        pairs = nakamura.context_pairs(0)
-        state = np.zeros((4, 4), dtype=complex)
-        state[:2, :2] = 0.5
-        projectors = []
-        for slot, (plus, minus) in enumerate(pairs):
-            basis = np.zeros((4, 4), dtype=complex)
-            basis[slot, slot] = 1.0
-            for label in (plus, minus):
-                direction = nakamura.elements[label].direction
-                projectors.append((label, np.kron(basis, projector_from_bloch(direction))))
-        filler = np.zeros((8, 8), dtype=complex)
-        filler[4:, 4:] = np.eye(4)
-        scheme = DilationScheme(
-            ancilla_dim=4,
-            ancilla_state=state,
-            context_index=0,
-            projectors=tuple(projectors),
-            fillers=(filler,),
-        )
-        report = verify_dilation(scheme, nakamura, 0)
-        assert report.passed(), report.to_dict()
-        assert report.filler_residuals == (0.0,)
 
 
 def shuffle_identity_check(
@@ -211,7 +192,6 @@ def shuffle_identity_check(
     left = np.trace(unitary @ rho @ unitary.conj().T @ projector)
     right = np.trace(rho @ unitary.conj().T @ projector @ unitary)
     return float(left.real), float(right.real)
-
 
 class TestShuffleIdentity:
     def test_identity_unitary(self):
@@ -264,20 +244,22 @@ class TestExtensionAudit:
     def test_family_without_contexts_has_empty_report(self):
         assert extension_audit(PovmFamily("x", {}, ()), []) == ()
 
-    def test_incomparable_ancilla_states_rejected(self, nakamura):
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            pytest.param(lambda s: s[:2], "need one scheme per context", id="one-short"),
+            pytest.param(lambda s: s[::-1], "scheme 1 dilates context 3", id="reversed"),
+            pytest.param(
+                lambda s: [s[0], replace(s[1], ancilla_dim=3), s[2]],
+                "ancilla dimension differs",
+                id="ancilla-dim",
+            ),
+        ],
+    )
+    def test_incomparable_schemes_rejected(self, nakamura, change, message):
         schemes = [sequential_dilation(nakamura, i) for i in range(3)]
-        ground = np.zeros((2, 2), dtype=complex)
-        ground[0, 0] = 1.0
-        schemes[1] = replace(schemes[1], ancilla_state=ground)
-        with pytest.raises(ValueError, match="incomparable"):
-            extension_audit(nakamura, schemes)
-
-    def test_projector_shape_mismatch_rejected(self, nakamura):
-        schemes = [sequential_dilation(nakamura, i) for i in range(3)]
-        cropped = tuple((label, op[:2, :2]) for label, op in schemes[1].projectors)
-        schemes[1] = replace(schemes[1], projectors=cropped)
-        with pytest.raises(ValueError, match=r"incomparable schemes: A\+ projector shape \(2, 2\)"):
-            extension_audit(nakamura, schemes)
+        with pytest.raises(ValueError, match=f"incomparable schemes: {message}"):
+            extension_audit(nakamura, change(schemes))
 
     def test_every_nakamura_slot_assignment_leaves_a_mismatch(self, nakamura):
         for orders in itertools.product(list(itertools.permutations(range(2))), repeat=3):
@@ -388,24 +370,76 @@ class TestValidatorRejectsMalformed:
 
 class TestUniformAncilla:
     def test_entries(self):
-        assert np.array_equal(uniform_ancilla_state(4), np.full((4, 4), 0.25, dtype=complex))
-        state = uniform_ancilla_state(2)
+        assert np.array_equal(_uniform_ancilla_state(4), np.full((4, 4), 0.25, dtype=complex))
+        state = _uniform_ancilla_state(2)
         assert np.trace(state) == 1.0
         assert np.max(np.abs(state @ state - state)) <= ATOL
 
 
-# --- the loop-based dilation code as first written: one numpy call per
-# projector, per pair of projectors and per audited label. The stacked code
-# in qcontext.dilation must reproduce every residual exactly.
+# --- the dense oracle: every extended projector a (2N, 2N) array, an element
+# recovered by the partial trace against the uniform ancilla state, and one
+# numpy call per projector, per pair of projectors and per audited label. The
+# block code in qcontext.dilation must reproduce every residual exactly.
+#
+# Products are einsum's and moduli np.hypot's: both evaluate an entry with the
+# floating-point operations of the block code's Python arithmetic. The @
+# operator and np.abs round differently on complex input (fused multiply-adds
+# in the BLAS kernel, a vectorised modulus), so they are not used here.
+
+
+@dataclass(frozen=True, eq=False)
+class _DenseScheme:
+    ancilla_dim: int
+    ancilla_state: np.ndarray
+    context_index: int
+    projectors: tuple[tuple[str, np.ndarray], ...]
+
+    def projector_for(self, label: str) -> np.ndarray:
+        return dict(self.projectors)[label]
+
+
+def _uniform_ancilla_state(dim: int) -> np.ndarray:
+    """Density matrix of the equally weighted superposition over dim basis kets."""
+    return np.full((dim, dim), 1.0 / dim, dtype=complex)
+
+
+def _reference_partial_trace(op, ancilla_dim: int) -> np.ndarray:
+    """Trace out the first (ancilla) factor of an operator on C^N (x) C^2, or
+    of each operator of a stack, shape (..., 2N, 2N)."""
+    op = np.asarray(op)
+    dim = 2 * ancilla_dim
+    if op.ndim < 2 or op.shape[-2:] != (dim, dim):
+        raise ValueError(
+            f"invalid scheme: operator shape {op.shape} does not match ancilla dim {ancilla_dim}"
+        )
+    return np.einsum("...aiaj->...ij", op.reshape(op.shape[:-2] + (ancilla_dim, 2, ancilla_dim, 2)))
 
 
 def _reference_contribution(ancilla_state, projector) -> np.ndarray:
+    """The qubit operator Tr_A{(rho_A (x) I) P} realized by an extended projector."""
     n = ancilla_state.shape[0]
-    lifted = np.kron(ancilla_state, np.eye(2, dtype=complex)) @ projector
-    return np.einsum("aiaj->ij", lifted.reshape(n, 2, n, 2))
+    lifted = np.einsum("ij,jk->ik", np.kron(ancilla_state, np.eye(2, dtype=complex)), projector)
+    return _reference_partial_trace(lifted, n)
 
 
-def _reference_sequential_dilation(family, context_index, slot_order) -> DilationScheme:
+def _dense_norm(ops) -> float:
+    """Largest entry modulus of an array (or a list of arrays), 0.0 for none."""
+    ops = np.asarray(ops)
+    return float(np.max(np.hypot(ops.real, ops.imag), initial=0.0))
+
+
+def _embed(scheme: DilationScheme) -> _DenseScheme:
+    """The dense form of a block scheme: each (slot, V) as |slot><slot| (x) V."""
+    n = scheme.ancilla_dim
+    projectors = []
+    for label, (slot, v) in scheme.projectors:
+        op = np.zeros((2 * n, 2 * n), dtype=complex)
+        op[2 * slot : 2 * slot + 2, 2 * slot : 2 * slot + 2] = np.array(v).reshape(2, 2)
+        projectors.append((label, op))
+    return _DenseScheme(n, _uniform_ancilla_state(n), scheme.context_index, tuple(projectors))
+
+
+def _reference_sequential_dilation(family, context_index, slot_order) -> _DenseScheme:
     pairs = family.context_pairs(context_index)
     n_slots = len(pairs)
     projectors = []
@@ -415,36 +449,27 @@ def _reference_sequential_dilation(family, context_index, slot_order) -> Dilatio
         for label in pairs[pair_index]:
             direction = family.elements[label].direction
             projectors.append((label, np.kron(basis, projector_from_bloch(direction))))
-    return DilationScheme(
+    return _DenseScheme(
         ancilla_dim=n_slots,
-        ancilla_state=uniform_ancilla_state(n_slots),
+        ancilla_state=_uniform_ancilla_state(n_slots),
         context_index=context_index,
         projectors=tuple(projectors),
     )
 
 
-def _reference_verify_dilation(scheme, family, context_index) -> DilationReport:
-    all_ops = [op for _, op in scheme.projectors] + list(scheme.fillers)
+def _reference_verify_dilation(scheme: _DenseScheme, family, context_index) -> DilationReport:
     element_residuals = {}
     for label, op in scheme.projectors:
         realized = _reference_contribution(scheme.ancilla_state, op)
-        expected = reference_operator(family.elements[label])
-        element_residuals[label] = float(np.max(np.abs(realized - expected)))
-    filler_residuals = tuple(
-        float(np.max(np.abs(_reference_contribution(scheme.ancilla_state, op))))
-        for op in scheme.fillers
-    )
-    orthogonality = 0.0
-    for a, b in itertools.combinations(all_ops, 2):
-        orthogonality = max(orthogonality, float(np.max(np.abs(a @ b))))
+        element_residuals[label] = _dense_norm(realized - reference_operator(family.elements[label]))
+    ops = [op for _, op in scheme.projectors]
+    products = [np.einsum("ij,jk->ik", a, b) for a, b in itertools.combinations(ops, 2)]
     dim = 2 * scheme.ancilla_dim
-    completeness = float(np.max(np.abs(sum(all_ops) - np.eye(dim))))
     return DilationReport(
         context_index=context_index,
         element_residuals=element_residuals,
-        filler_residuals=filler_residuals,
-        orthogonality_residual=orthogonality,
-        completeness_residual=completeness,
+        orthogonality_residual=_dense_norm(products),
+        completeness_residual=_dense_norm(sum(ops) - np.eye(dim)),
     )
 
 
@@ -452,9 +477,7 @@ def _reference_extension_audit(family, schemes) -> tuple[AuditEntry, ...]:
     entries = []
     for label in family.elements:
         for i, j in itertools.combinations(family.element_contexts(label), 2):
-            diff = float(
-                np.max(np.abs(schemes[i].projector_for(label) - schemes[j].projector_for(label)))
-            )
+            diff = _dense_norm(schemes[i].projector_for(label) - schemes[j].projector_for(label))
             entries.append(AuditEntry(label, (i, j), diff <= ATOL, diff))
     return tuple(entries)
 
@@ -492,127 +515,93 @@ def _reference_count_consistent_slot_assignments(family) -> int:
 
 FAMILIES = (nakamura_family(), cabello_family())
 
+#: A V entry of either sign and any exponent, small enough that no product
+#: of the dense oracle overflows.
+_V_ENTRY = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
 
-def _swap_labels(scheme, rng) -> DilationScheme:
-    """Exchange the projectors of two labels."""
-    labels = [label for label, _ in scheme.projectors]
-    a, b = rng.choice(len(labels), size=2, replace=False)
-    ops = [op for _, op in scheme.projectors]
-    ops[a], ops[b] = ops[b], ops[a]
-    return replace(scheme, projectors=tuple(zip(labels, ops)))
+
+@st.composite
+def perturbed_dilations(draw, family, context_index):
+    """A context's sequential dilation under a random slot order, then some
+    projectors' V replaced by random entries and two labels' projectors
+    swapped."""
+    order = draw(st.permutations(range(len(family.context_pairs(context_index)))))
+    scheme = sequential_dilation(family, context_index, slot_order=order)
+    projectors = [
+        (label, (slot, draw(st.tuples(*[_V_ENTRY] * 4)) if draw(st.booleans()) else v))
+        for label, (slot, v) in scheme.projectors
+    ]
+    if draw(st.booleans()):
+        a, b = draw(st.permutations(range(len(projectors))))[:2]
+        (label_a, op_a), (label_b, op_b) = projectors[a], projectors[b]
+        projectors[a], projectors[b] = (label_a, op_b), (label_b, op_a)
+    return replace(scheme, projectors=tuple(projectors))
 
 
 @st.composite
 def dilation_cases(draw):
-    """A context's sequential dilation under random slot orders, then
-    perturbed: a wider ancilla with fillers, a random ancilla density state,
-    and swapped projectors."""
     family = draw(st.sampled_from(FAMILIES))
     context_index = draw(st.integers(0, len(family.contexts) - 1))
-    n_slots = len(family.context_pairs(context_index))
-    slot_order = draw(st.permutations(range(n_slots)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scheme = _reference_sequential_dilation(family, context_index, slot_order)
-
-    extra = draw(st.integers(0, 2))
-    if extra:
-        dim = 2 * (n_slots + extra)
-        padded = []
-        for label, op in scheme.projectors:
-            wide = np.zeros((dim, dim), dtype=complex)
-            wide[: 2 * n_slots, : 2 * n_slots] = op
-            padded.append((label, wide))
-        rest = np.zeros((dim, dim), dtype=complex)
-        rest[2 * n_slots :, 2 * n_slots :] = np.eye(2 * extra)
-        fillers = [rest] + [
-            random_projector(dim, int(rng.integers(1, dim)), rng)
-            for _ in range(draw(st.integers(0, 2)))
-        ]
-        state = np.zeros((n_slots + extra, n_slots + extra), dtype=complex)
-        state[:n_slots, :n_slots] = uniform_ancilla_state(n_slots)
-        scheme = DilationScheme(
-            ancilla_dim=n_slots + extra,
-            ancilla_state=state,
-            context_index=context_index,
-            projectors=tuple(padded),
-            fillers=tuple(fillers),
-        )
-    if draw(st.booleans()):
-        scheme = replace(scheme, ancilla_state=random_density(scheme.ancilla_dim, rng))
-    if draw(st.booleans()):
-        scheme = _swap_labels(scheme, rng)
-    return family, context_index, scheme
+    return family, context_index, draw(perturbed_dilations(family, context_index))
 
 
 @st.composite
 def audit_cases(draw):
-    """One sequential dilation per context, random slot orders, optionally a
-    shared random ancilla state and swapped projectors."""
+    """One perturbed sequential dilation per context."""
     family = draw(st.sampled_from(FAMILIES))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    schemes = []
-    for i in range(len(family.contexts)):
-        order = draw(st.permutations(range(len(family.context_pairs(i)))))
-        scheme = sequential_dilation(family, i, slot_order=order)
-        if draw(st.booleans()):
-            scheme = _swap_labels(scheme, rng)
-        schemes.append(scheme)
-    if draw(st.booleans()):
-        state = random_density(schemes[0].ancilla_dim, rng)
-        schemes = [replace(s, ancilla_state=state) for s in schemes]
-    return family, schemes
+    return family, [draw(perturbed_dilations(family, i)) for i in range(len(family.contexts))]
 
 
 class TestStackedMatchesReference:
-    """The stacked dilation code against the loop-based reference, exactly."""
+    """The block dilation code against the dense oracle, exactly."""
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_sequential_dilation_every_slot_order(self, family):
         for i in range(len(family.contexts)):
             for order in itertools.permutations(range(len(family.context_pairs(i)))):
                 scheme = sequential_dilation(family, i, slot_order=order)
+                dense = _embed(scheme)
                 reference = _reference_sequential_dilation(family, i, order)
-                assert scheme.ancilla_dim == reference.ancilla_dim
-                assert np.array_equal(scheme.ancilla_state, reference.ancilla_state)
-                assert [l for l, _ in scheme.projectors] == [l for l, _ in reference.projectors]
-                for (_, op), (_, expected) in zip(scheme.projectors, reference.projectors):
+                assert dense.ancilla_dim == reference.ancilla_dim
+                assert [l for l, _ in dense.projectors] == [l for l, _ in reference.projectors]
+                for (_, op), (_, expected) in zip(dense.projectors, reference.projectors):
                     # Equal as numbers: the kron could only add a sign to a zero.
                     assert np.array_equal(op, expected)
+                report = verify_dilation(scheme, family, i)
+                expected_report = _reference_verify_dilation(reference, family, i)
+                assert json.dumps(report.to_dict()) == json.dumps(expected_report.to_dict())
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_default_reports(self, family):
-        for i in range(len(family.contexts)):
-            scheme = sequential_dilation(family, i)
-            reference = _reference_verify_dilation(scheme, family, i)
+        schemes = [sequential_dilation(family, i) for i in range(len(family.contexts))]
+        for i, scheme in enumerate(schemes):
+            reference = _reference_verify_dilation(_embed(scheme), family, i)
             assert verify_dilation(scheme, family, i) == reference
+        dense = [_embed(scheme) for scheme in schemes]
+        assert extension_audit(family, schemes) == _reference_extension_audit(family, dense)
 
-    @pytest.mark.parametrize("fillers", [(), (np.eye(2, dtype=complex),)])
-    def test_scheme_without_elements(self, fillers):
-        # A context may be empty; its scheme holds fillers or nothing at all.
+    def test_scheme_without_elements(self):
+        # A context may be empty; its scheme's one slot is then empty too.
         family = PovmFamily(name="empty", elements={}, contexts=((),))
-        scheme = DilationScheme(
-            ancilla_dim=1,
-            ancilla_state=np.ones((1, 1), dtype=complex),
-            context_index=0,
-            projectors=(),
-            fillers=fillers,
-        )
+        scheme = DilationScheme(ancilla_dim=1, context_index=0, projectors=())
         report = verify_dilation(scheme, family, 0)
-        assert report == _reference_verify_dilation(scheme, family, 0)
+        assert report == _reference_verify_dilation(_embed(scheme), family, 0)
+        assert report.completeness_residual == 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(dilation_cases())
     def test_verify_dilation(self, case):
         family, context_index, scheme = case
         report = verify_dilation(scheme, family, context_index)
-        reference = _reference_verify_dilation(scheme, family, context_index)
+        reference = _reference_verify_dilation(_embed(scheme), family, context_index)
         assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
 
     @settings(max_examples=60, deadline=None)
     @given(audit_cases())
     def test_extension_audit(self, case):
         family, schemes = case
-        assert extension_audit(family, schemes) == _reference_extension_audit(family, schemes)
+        dense = [_embed(scheme) for scheme in schemes]
+        assert extension_audit(family, schemes) == _reference_extension_audit(family, dense)
 
 
 def _restrictions(family):
@@ -685,16 +674,18 @@ class TestElementOperators:
     def test_cached_read_only_and_bit_equal(self, family):
         for element in family.elements.values():
             fresh = PovmElement(element.label, element.weight, element.direction)
-            for op, expected in (
-                (fresh.projector, reference_projector(element.direction)),
-                (fresh.operator, reference_operator(element)),
-            ):
-                assert op.tobytes() == expected.tobytes()
-                assert not op.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    op[0, 0] = 0.0
-            assert fresh.operator is fresh.operator
-            assert fresh.projector is fresh.projector
+            # Nothing is computed when the element is built.
+            assert not {"projector_entries", "entries", "operator"} & set(vars(fresh))
+            projector = fresh.projector_entries
+            assert np.array(projector).tobytes() == reference_projector(element.direction).tobytes()
+            assert all(type(entry) is complex for entry in projector)
+            assert fresh.projector_entries is projector
+            op = fresh.operator
+            assert op.tobytes() == reference_operator(element).tobytes()
+            assert not op.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 0.0
+            assert fresh.operator is op
 
 
 # --- the one-to-one reasoner as first written: a ConstraintGraph with a second
