@@ -11,13 +11,12 @@ alone loads no layer. Reading any one of them imports all five layers and
 binds every name in ``__all__``, as eager imports would: a tracer that wraps
 the layers' functions finds every layer loaded and every name bound.
 
-No layer loads numpy at import. Building and checking the families,
-deciding colorability, building and auditing the dilations and deriving the
-one-to-one certificate run without it: a qubit operator is its four complex
-entries, and a dilation's extended projector |k><k| (x) V is its (slot, V)
-pair. Each function that computes with arrays (operator arrays, the Born
-rule, sampling) imports numpy when called. Of the CLI's commands, only
-``simulate`` loads numpy.
+Only ``hv`` imports numpy, and only inside its sampling functions, so no
+layer loads it at import. A qubit operator is its four complex entries and a
+dilation's extended projector |k><k| (x) V is its (slot, V) pair: building
+and checking the families, the Born rule, deciding colorability, building
+and auditing the dilations and deriving the one-to-one certificate run
+without numpy. Of the CLI's commands, only ``simulate`` loads it.
 """
 
 import importlib
@@ -56,7 +55,6 @@ __all__ = [
     "one_to_one_feasibility",
     "parity_obstruction",
     "parse_hypergraph",
-    "projector_from_bloch",
     "sequential_dilation",
     "simulate_povm",
     "validate_certificate",

@@ -1,10 +1,9 @@
 """Bloch-sphere geometry: unit vectors, qubit operators, and the two vertex solids.
 
-The geometry is plain Python over float tuples, so building the vertex sets
-and the families loads no numpy. A qubit operator's plain form is its four
-complex entries: ``projector_entries`` and ``hermitian_min_eigenvalue`` work
-on those. The functions that take or return arrays (``projector_from_bloch``,
-the ``is_*`` tests and ``BlochVector.as_array``) import numpy when called.
+The geometry is plain Python over float tuples, and a qubit operator's one
+form is its four complex entries: ``projector_entries``,
+``hermitian_min_eigenvalue`` and ``is_density_operator`` work on those. The
+module loads no numpy; only ``hv`` imports it.
 """
 
 from __future__ import annotations
@@ -12,12 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .tables import CABELLO_CONTEXT_LETTERS
-
-if TYPE_CHECKING:  # imported for real inside the operator functions
-    import numpy as np
 
 #: Tolerance for closed-form algebraic identities in double precision.
 ATOL = 1e-12
@@ -67,11 +62,6 @@ class BlochVector:
         x, y, z = (float(c) for c in arr)
         return cls(x, y, z)
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z])
-
     def dot(self, other: "BlochVector") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -106,17 +96,6 @@ def projector_entries(v: BlochVector) -> Entries:
     )
 
 
-def projector_from_bloch(v: BlochVector) -> np.ndarray:
-    """Rank-1 projector (I + v.sigma)/2 onto the pure state pointing along v.
-
-    Hermitian, idempotent, trace 1; the antipodal direction gives the
-    orthogonal complement.
-    """
-    import numpy as np
-
-    return np.array(projector_entries(v), dtype=complex).reshape(2, 2)
-
-
 def hermitian_min_eigenvalue(entries: Entries) -> float:
     """Smallest eigenvalue of a Hermitian 2x2 operator given by its entries:
     (a + d)/2 - hypot((a - d)/2, |b|)."""
@@ -124,27 +103,21 @@ def hermitian_min_eigenvalue(entries: Entries) -> float:
     return (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
 
 
-def is_hermitian(op: np.ndarray, atol: float = ATOL) -> bool:
-    import numpy as np
+def is_density_operator(entries: Entries) -> bool:
+    """A 2x2 operator, given by its entries, that is Hermitian, of unit trace
+    and positive semidefinite, each to 1e-9.
 
-    return bool(np.max(np.abs(op - op.conj().T)) <= atol)
-
-
-def is_projector(op: np.ndarray, atol: float = ATOL) -> bool:
-    """Hermitian and idempotent (no rank constraint)."""
-    import numpy as np
-
-    return is_hermitian(op, atol) and bool(np.max(np.abs(op @ op - op)) <= atol)
-
-
-def is_density_operator(op: np.ndarray, atol: float = 1e-9) -> bool:
-    """A 2x2 operator that is Hermitian, of unit trace and positive semidefinite."""
-    if op.shape != (2, 2) or not is_hermitian(op, atol):
-        return False
-    entries = op.ravel().tolist()
-    if abs(entries[0].real + entries[3].real - 1.0) > atol:
-        return False
-    return hermitian_min_eigenvalue(entries) >= -atol
+    Each test holds only when its comparison is true, so a NaN entry fails.
+    """
+    a, b, c, d = entries
+    tol = 1e-9
+    return (
+        abs(a - a.conjugate()) <= tol
+        and abs(b - c.conjugate()) <= tol
+        and abs(d - d.conjugate()) <= tol
+        and abs(a.real + d.real - 1.0) <= tol
+        and hermitian_min_eigenvalue(entries) >= -tol
+    )
 
 
 @dataclass(frozen=True)

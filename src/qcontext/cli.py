@@ -11,11 +11,10 @@ prints as one ``qcontext: error:`` line, with exit 2; only ``-h`` exits by
 
 Each handler imports the modules it uses. The module itself imports only the
 standard library and ``tables``, and checks ``--model``, ``--context`` and
-``--samples`` against ``tables`` before any family is built. The layers
-import numpy only inside their array functions, so only ``simulate`` loads
-it: ``dilate`` and ``audit`` work on each extended projector's (slot, V)
-pair, V a qubit projector's four complex entries, and the usage errors
-never reach a layer.
+``--samples`` against ``tables`` before any family is built. Only ``hv``
+imports numpy, inside its sampling functions, so only ``simulate`` loads it:
+every other command works on qubit operators as four complex entries, and
+the usage errors never reach a layer.
 """
 
 from __future__ import annotations
@@ -113,6 +112,15 @@ def _config(args, *flags: str) -> dict:
     return {"command": args.command, **{name: getattr(args, name) for name in names}}
 
 
+def _require_one_source(args, path: str | None, flag: str) -> None:
+    """Refuse a command line that names no source, or both ``--model`` and the
+    file flag: neither would be silently ignored."""
+    if args.model is not None and path is not None:
+        raise UsageError(f"{args.command} takes --model or {flag}, not both")
+    if not (args.model or path):
+        raise UsageError(f"{args.command} requires --model or {flag}")
+
+
 def cmd_family(args) -> int:
     family = _load_model(args.model)
     _emit_json({"config": _config(args), "family": family.to_dict()}, args.out)
@@ -120,8 +128,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if not (args.model or args.family_file):
-        raise UsageError("check requires --model or --family-file")
+    _require_one_source(args, args.family_file, "--family-file")
     from .bloch import ATOL, hermitian_min_eigenvalue
     from .povm import PovmFamily, check_completeness
 
@@ -171,8 +178,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ks_search(args) -> int:
-    if not (args.model or args.hypergraph):
-        raise UsageError("ks-search requires --model or --hypergraph")
+    _require_one_source(args, args.hypergraph, "--hypergraph")
     from .ks import ContextHypergraph, enumerate_assignments, parse_hypergraph
 
     config = _config(args, "hypergraph", "workers")

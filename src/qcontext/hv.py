@@ -18,8 +18,9 @@ block it draws z into a reused buffer, writes each slot's projections z.v
 into one row of another and picks sample i's own with one ``take`` at flat
 index lam * (row length) + i.
 
-The array functions import numpy when called, so ``noncontextual_value_map``
-and the report types load none.
+This is the one module that knows numpy, and its array functions import it
+when called, so ``noncontextual_value_map`` and the report types load none.
+The Born values it compares against are computed on 2x2 entries by ``povm``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .bloch import BlochVector, projector_from_bloch
+from .bloch import BlochVector, projector_entries
 from .povm import PovmFamily, born_probabilities
 from .tables import MAX_SAMPLES
 
@@ -112,10 +113,10 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
 
 
 def _sample(
-    plus_dirs: np.ndarray, n: BlochVector, samples: int, seed: int, workers: int
+    plus_dirs: list[BlochVector], n: BlochVector, samples: int, seed: int, workers: int
 ) -> tuple[np.ndarray, int]:
-    """Merged shard counts; shard k draws from substream (seed, k) alone, so
-    the counts are the same for any worker count."""
+    """Merged counts over the slots' "+" directions; shard k draws from
+    substream (seed, k) alone, so the counts are the same for any worker count."""
     # bool is an int subclass, so True would otherwise run one sample (or seed
     # 1). A numpy integer is refused too: the report stores both, and json
     # cannot write one. A seed of None would run on fresh OS entropy.
@@ -130,9 +131,12 @@ def _sample(
         raise ValueError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_arr = n.as_array()
+    import numpy as np
+
+    dirs = np.array([(v.x, v.y, v.z) for v in plus_dirs])
+    n_arr = np.array((n.x, n.y, n.z))
     tasks = [
-        (plus_dirs, n_arr, seed, k, min(SHARD_SIZE, samples - start))
+        (dirs, n_arr, seed, k, min(SHARD_SIZE, samples - start))
         for k, start in enumerate(range(0, samples, SHARD_SIZE))
     ]
     if workers > 1 and len(tasks) > 1:
@@ -154,7 +158,7 @@ def bell_marginal_estimate(
 
     The one-pair case of the context sampler: a single slot with "+" along v.
     """
-    counts, _ = _sample(v.as_array()[None, :], n, samples, seed, workers)
+    counts, _ = _sample([v], n, samples, seed, workers)
     return int(counts[0]) / samples
 
 
@@ -235,17 +239,16 @@ def simulate_povm(
     model agrees with the Born rule when every |z| is at most ``Z_LIMIT``
     (5 sigma); ``qcontext simulate`` exits 1 otherwise.
     """
-    import numpy as np
-
     pairs = family.context_pairs(context_index)
     if len(pairs) not in _VALID_SLOT_COUNTS:
         raise ValueError(f"invalid context: {len(pairs)} pairs, expected one of {_VALID_SLOT_COUNTS}")
 
-    plus_dirs = np.array([family.elements[plus].direction.as_array() for plus, _ in pairs])
+    plus_dirs = [family.elements[plus].direction for plus, _ in pairs]
     counts, boundary = _sample(plus_dirs, n, samples, seed, workers)
 
     labels = family.contexts[context_index]
-    born = born_probabilities(projector_from_bloch(n), [family.elements[l] for l in labels])
+    state = projector_entries(n)
+    born = born_probabilities((state[:2], state[2:]), [family.elements[l] for l in labels])
     frequencies = tuple(int(c) / samples for c in counts)
     z_scores = tuple(
         _z_score(freq, p, samples) for freq, p in zip(frequencies, born)

@@ -1,9 +1,9 @@
 """The Cabello and Nakamura POVM families and Born-rule statistics.
 
-Building, validating, serialising and checking a family loads no numpy: an
-element's projector and operator are kept as their four complex entries, and
-``check_completeness`` sums the operators'. An element's ``operator`` array
-and the Born rule import numpy when used.
+An element's projector and operator are kept as their four complex entries:
+``check_completeness`` sums the operators', and the Born rule reads the
+state's rows into entries and takes trace(state * operator) on them. The
+module loads no numpy; only ``hv`` imports it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from numbers import Number
+from typing import Sequence
 
 from .bloch import (
     ATOL,
@@ -26,9 +27,6 @@ from .bloch import (
 )
 from .tables import MODEL_CONTEXTS
 
-if TYPE_CHECKING:  # imported for real inside the numeric functions
-    import numpy as np
-
 Context = tuple[str, ...]
 
 
@@ -38,8 +36,8 @@ class PovmElement:
 
     The weight lies in (0, 1]: w * P <= I holds for a rank-1 projector P only
     when w <= 1. ``projector_entries`` and ``entries``, the four complex
-    entries of the projector and of the operator, and the read-only
-    ``operator`` array are computed on first use and kept with the element.
+    entries of the projector and of the operator, are computed on first use
+    and kept with the element.
     """
 
     label: str
@@ -64,14 +62,6 @@ class PovmElement:
         # A complex weight, as in projector_entries: numpy's complex product.
         weight = complex(float(self.weight))
         return tuple(weight * entry for entry in self.projector_entries)
-
-    @cached_property
-    def operator(self) -> np.ndarray:
-        import numpy as np
-
-        matrix = np.array(self.entries, dtype=complex).reshape(2, 2)
-        matrix.flags.writeable = False
-        return matrix
 
 
 @dataclass(frozen=True)
@@ -277,16 +267,32 @@ def check_completeness(context: Sequence[str], family: PovmFamily) -> float:
     return max(abs(t) for t in total)
 
 
-def born_probabilities(state: np.ndarray, elements: Sequence[PovmElement]) -> tuple[float, ...]:
-    """trace(state * element.operator) for each element, the state checked once."""
-    import numpy as np
+def _state_entries(state) -> Entries:
+    """The entries of a 2x2 density operator given by its two rows, such as a
+    nested sequence or a 2x2 array."""
+    try:
+        (a, b), (c, d) = state
+        if all(isinstance(x, Number) for x in (a, b, c, d)):
+            entries = (complex(a), complex(b), complex(c), complex(d))
+            if is_density_operator(entries):
+                return entries
+    except (TypeError, ValueError, OverflowError):  # not two rows of two numbers
+        pass
+    raise ValueError("invalid state: expected a 2x2 density operator")
 
-    state = np.asarray(state, dtype=complex)
-    if not is_density_operator(state):
-        raise ValueError("invalid state: expected a 2x2 density operator")
-    return tuple(float(np.trace(state @ element.operator).real) for element in elements)
+
+def born_probabilities(state, elements: Sequence[PovmElement]) -> tuple[float, ...]:
+    """trace(state * element operator) for each element, the state checked once.
+
+    ``state`` is a 2x2 operator given by its two rows; a numpy array is one.
+    """
+    a, b, c, d = _state_entries(state)
+    return tuple(
+        ((a * o0 + b * o2) + (c * o1 + d * o3)).real
+        for o0, o1, o2, o3 in (element.entries for element in elements)
+    )
 
 
-def born_probability(state: np.ndarray, element: PovmElement) -> float:
-    """trace(state * element.operator) = weight * (1 + n.v)/2, in [0, weight]."""
+def born_probability(state, element: PovmElement) -> float:
+    """trace(state * element operator) = weight * (1 + n.v)/2, in [0, weight]."""
     return born_probabilities(state, (element,))[0]

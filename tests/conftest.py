@@ -42,7 +42,7 @@ def signed_axes() -> list:
 
 def reference_projector(v) -> np.ndarray:
     """(I + v.sigma)/2 as numpy evaluates it over the Pauli matrices: the
-    exact oracle for ``projector_from_bloch``."""
+    exact oracle for ``projector_entries``."""
     identity = np.eye(2, dtype=complex)
     sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,7 +52,7 @@ def reference_projector(v) -> np.ndarray:
 
 def reference_operator(element) -> np.ndarray:
     """weight * (I + v.sigma)/2 in numpy: the exact oracle for an element's
-    ``entries`` and ``operator``."""
+    ``entries``, and the operator of the Born rule's numpy oracle."""
     return float(element.weight) * reference_projector(element.direction)
 
 

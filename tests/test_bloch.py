@@ -12,15 +12,8 @@ from qcontext import (
     dodecahedron_vertices,
     hexagon_vertices,
     inscribed_cubes,
-    projector_from_bloch,
 )
-from qcontext.bloch import (
-    hermitian_min_eigenvalue,
-    is_density_operator,
-    is_hermitian,
-    is_projector,
-    projector_entries,
-)
+from qcontext.bloch import hermitian_min_eigenvalue, is_density_operator, projector_entries
 
 from conftest import reference_projector, signed_axes
 
@@ -41,6 +34,16 @@ directions = st.one_of(st.sampled_from(signed_axes()), unit_vectors)
 hermitian_entries = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
 ).map(lambda t: (complex(t[0]), complex(t[1], t[2]), complex(t[1], -t[2]), complex(t[3])))
+
+
+def _matrix(v: BlochVector) -> np.ndarray:
+    """The projector along v as a 2x2 array of its ``projector_entries``."""
+    return np.array(projector_entries(v)).reshape(2, 2)
+
+
+def _coords(vs) -> np.ndarray:
+    """A vertex set's vectors as the rows of an array."""
+    return np.array([(v.x, v.y, v.z) for v in vs.vertices])
 
 
 def _exact_min_eigenvalue(entries) -> float:
@@ -85,61 +88,60 @@ class TestBlochVector:
 
 class TestProjectors:
     def test_north_pole(self):
-        p = projector_from_bloch(BlochVector(0, 0, 1))
-        assert np.array_equal(p, np.array([[1, 0], [0, 0]], dtype=complex))
+        assert projector_entries(BlochVector(0, 0, 1)) == (1, 0, 0, 0)
 
     def test_x_axis(self):
-        p = projector_from_bloch(BlochVector(1, 0, 0))
-        assert np.array_equal(p, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+        assert projector_entries(BlochVector(1, 0, 0)) == (0.5, 0.5, 0.5, 0.5)
 
     def test_south_pole_is_complement(self):
-        north = projector_from_bloch(BlochVector(0, 0, 1))
-        south = projector_from_bloch(BlochVector(0, 0, -1))
+        north = _matrix(BlochVector(0, 0, 1))
+        south = _matrix(BlochVector(0, 0, -1))
         assert np.array_equal(south, np.array([[0, 0], [0, 1]], dtype=complex))
         assert np.max(np.abs(north + south - np.eye(2))) <= ATOL
 
     @given(unit_vectors)
     def test_projector_identities(self, v):
-        p = projector_from_bloch(v)
-        assert is_projector(p)
+        p = _matrix(v)
+        assert np.max(np.abs(p - p.conj().T)) <= ATOL
+        assert np.max(np.abs(p @ p - p)) <= ATOL
         assert abs(np.trace(p).real - 1.0) <= ATOL
-        q = projector_from_bloch(v.antipode())
+        q = _matrix(v.antipode())
         assert np.max(np.abs(p + q - np.eye(2))) <= ATOL
 
     @given(unit_vectors, unit_vectors)
     def test_overlap_formula(self, n, v):
-        rho = projector_from_bloch(n)
-        p = projector_from_bloch(v)
-        overlap = np.trace(rho @ p).real
+        overlap = np.trace(_matrix(n) @ _matrix(v)).real
         assert overlap == pytest.approx((1 + n.dot(v)) / 2, abs=1e-10)
 
     def test_state_on_own_projector(self):
         n = BlochVector.normalized(1, 1, 1)
-        assert np.trace(projector_from_bloch(n) @ projector_from_bloch(n)).real == pytest.approx(
-            1.0, abs=ATOL
-        )
+        assert np.trace(_matrix(n) @ _matrix(n)).real == pytest.approx(1.0, abs=ATOL)
 
     def test_orthogonal_directions_give_half(self):
-        rho = projector_from_bloch(BlochVector(0, 0, 1))
-        p = projector_from_bloch(BlochVector(1, 0, 0))
-        assert np.trace(rho @ p).real == pytest.approx(0.5, abs=ATOL)
+        overlap = np.trace(_matrix(BlochVector(0, 0, 1)) @ _matrix(BlochVector(1, 0, 0))).real
+        assert overlap == pytest.approx(0.5, abs=ATOL)
 
     @given(unit_vectors)
     def test_state_is_density(self, n):
-        assert is_density_operator(projector_from_bloch(n))
-        assert is_hermitian(projector_from_bloch(n))
+        assert is_density_operator(projector_entries(n))
 
     @given(directions)
     def test_bytes_equal_numpy_pauli_sum(self, v):
-        expected = reference_projector(v)
-        assert projector_from_bloch(v).tobytes() == expected.tobytes()
-        assert projector_entries(v) == tuple(expected.ravel().tolist())
+        assert projector_entries(v) == tuple(reference_projector(v).ravel().tolist())
 
     def test_density_check_is_for_2x2_states(self):
-        assert not is_density_operator(np.eye(3) / 3)
-        assert not is_density_operator(np.eye(2))
-        assert not is_density_operator(np.array([[1.5, 0], [0, -0.5]]))
-        assert is_density_operator(np.eye(2) / 2)
+        assert is_density_operator((0.5 + 0j, 0j, 0j, 0.5 + 0j))
+        rejected = [
+            (1, 0, 0, 1),  # trace 2
+            (1.5, 0, 0, -0.5),  # negative eigenvalue
+            (0.5, 1, 0, 0.5),  # not Hermitian
+            (0.5 + 1e-6j, 0, 0, 0.5 - 1e-6j),  # complex diagonal
+            (math.nan, 0, 0, 1),
+            (0.5, complex(0, math.nan), complex(0, math.nan), 0.5),
+            (math.inf, 0, 0, -math.inf),
+        ]
+        for entries in rejected:
+            assert not is_density_operator(tuple(map(complex, entries))), entries
 
 
 class TestMinEigenvalue:
@@ -173,7 +175,7 @@ class TestDodecahedron:
     def test_nearest_neighbour_separation_uniform(self):
         # Brute force over all vertex pairs: the largest off-diagonal dot
         # (smallest angle) must be the same for every vertex.
-        coords = np.array([v.as_array() for v in dodecahedron_vertices().vertices])
+        coords = _coords(dodecahedron_vertices())
         dots = coords @ coords.T
         np.fill_diagonal(dots, -2.0)
         nearest = dots.max(axis=1)
@@ -184,7 +186,7 @@ class TestDodecahedron:
         vs = dodecahedron_vertices()
         cubes = inscribed_cubes(vs)
         assert len(cubes) == 5
-        coords = np.array([v.as_array() for v in vs.vertices])
+        coords = _coords(vs)
         for cube in cubes:
             assert len(cube) == 8
             dots = sorted(
@@ -200,7 +202,7 @@ class TestDodecahedron:
         # Independent search: pick 4 antipodal pairs and accept the 8 vertices
         # when their pairwise dot multiset matches the cube signature.
         vs = dodecahedron_vertices()
-        coords = np.array([v.as_array() for v in vs.vertices])
+        coords = _coords(vs)
         signature = sorted([-1.0] * 4 + [round(-1 / 3, 6)] * 12 + [round(1 / 3, 6)] * 12)
         found = set()
         for combo in itertools.combinations(vs.pairs, 4):
@@ -249,9 +251,7 @@ class TestHexagon:
         vs = hexagon_vertices()
         assert all(v.y == 0.0 for v in vs.vertices)
         for i in range(6):
-            a = vs.vertices[i].as_array()
-            b = vs.vertices[(i + 1) % 6].as_array()
-            assert float(a @ b) == pytest.approx(0.5, abs=ATOL)
+            assert vs.vertices[i].dot(vs.vertices[(i + 1) % 6]) == pytest.approx(0.5, abs=ATOL)
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):

@@ -330,6 +330,12 @@ class TestUsageErrors:
             pytest.param((*SIMULATE, "--state", "-0.5,0,1"), "--state", id="state-looks-like-flag"),
             pytest.param(("check",), "--model or --family-file", id="check-no-source"),
             pytest.param(("ks-search",), "--model or --hypergraph", id="ks-search-no-source"),
+            # Neither file exists: the command line is refused before any read.
+            pytest.param(("check", "--model", "nakamura", "--family-file", "/nonexist"),
+                         "check takes --model or --family-file, not both", id="check-both-sources"),
+            pytest.param(("ks-search", "--model", "cabello", "--hypergraph", "/nonexist"),
+                         "ks-search takes --model or --hypergraph, not both",
+                         id="ks-search-both-sources"),
             pytest.param(("family", "--model", "nakamura", "--format", "csv"), "--format",
                          id="family-format-csv"),
             pytest.param((*SIMULATE, "--samples", "0"), "samples must be >= 1", id="samples-0"),
@@ -466,6 +472,21 @@ class TestStartup:
     def test_package_import_loads_no_numpy(self):
         probe = "import sys, qcontext; print('numpy' in sys.modules)"
         assert run_probe(probe).stdout.strip() == "False"
+
+    def test_born_rule_and_checks_load_no_numpy(self):
+        # The Born rule, the state check and completeness work on 2x2 entries.
+        probe = (
+            "import sys, qcontext as q\n"
+            "from qcontext.bloch import is_density_operator\n"
+            "cabello, nakamura = q.cabello_family(), q.nakamura_family()\n"
+            "born = q.born_probabilities(((1, 0), (0, 0)), list(nakamura.elements.values()))\n"
+            "assert is_density_operator(cabello.elements['A+'].projector_entries)\n"
+            "assert q.check_completeness(cabello.contexts[0], cabello) <= q.ATOL\n"
+            "print(born, 'numpy' in sys.modules)\n"
+        )
+        proc = run_probe(probe)
+        assert proc.stderr == ""
+        assert proc.stdout.strip() == "(0.5, 0.0, 0.375, 0.125, 0.125, 0.375) False"
 
     @pytest.mark.parametrize(
         "argv,expected_code",

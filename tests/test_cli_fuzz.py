@@ -1,5 +1,7 @@
 """Fuzz gate on the CLI: any argv, family document or hypergraph file ends in a
-documented exit code, and a usage error is exactly one stderr line.
+documented exit code, and a usage error is exactly one stderr line. A
+``check`` or ``ks-search`` given both ``--model`` and its file source is a
+usage error.
 
 Samples are capped at 10 000 and workers at 2, so every simulation is one
 shard and starts no pool; ``-h`` is never drawn; ``--out`` points under the
@@ -125,6 +127,12 @@ FLAGS = {
     "audit": {},
     "feasibility": {},
 }
+#: The commands with two sources, of which a command line may give one.
+SOURCES = {"check": ("--model", "--family-file"), "ks-search": ("--model", "--hypergraph")}
+
+
+def _gives(argv, flag) -> bool:
+    return any(arg == flag or arg.startswith(f"{flag}=") for arg in argv[1:])
 
 
 @st.composite
@@ -175,6 +183,9 @@ def test_cli_never_raises(tmp_path, argv, family_text, hypergraph_text):
         except SystemExit as exc:
             raise AssertionError(f"SystemExit({exc.code}) escaped main") from exc
     assert code in (0, 1, 2, 3)
+    sources = SOURCES.get(argv[0])
+    if sources and all(_gives(argv, flag) for flag in sources):
+        assert code == 2
     if code == 2:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines(keepends=True)

@@ -19,10 +19,14 @@ from conftest import _unit_sphere
 
 Z = BlochVector(0, 0, 1)
 
+def _array(v: BlochVector) -> np.ndarray:
+    return np.array((v.x, v.y, v.z))
+
+
 unit_arrays = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
 ).filter(lambda t: math.sqrt(sum(c * c for c in t)) > 1e-3).map(
-    lambda t: BlochVector.normalized(*t).as_array()
+    lambda t: _array(BlochVector.normalized(*t))
 )
 
 
@@ -308,10 +312,10 @@ class TestKernelImplementsModel:
         family = request.getfixturevalue(model)
         n = BlochVector.normalized(0.3, -0.5, 0.8)
         plus_dirs = np.array(
-            [family.elements[plus].direction.as_array() for plus, _ in family.context_pairs(context)]
+            [_array(family.elements[plus].direction) for plus, _ in family.context_pairs(context)]
         )
         # 5000 samples span two blocks, the second a partial one.
-        counts, _ = _povm_shard((plus_dirs, n.as_array(), seed, 0, 5000))
+        counts, _ = _povm_shard((plus_dirs, _array(n), seed, 0, 5000))
         assert counts.tolist() == _value_map_counts(family, n, seed, 5000)[context].tolist()
 
 

@@ -1,12 +1,15 @@
-"""The package root binds its public names lazily (PEP 562)."""
+"""The package root binds its public names lazily (PEP 562), and only ``hv``
+imports numpy."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 import qcontext
 
-from conftest import run_probe
+from conftest import SRC_DIR, run_probe
 
 LAYERS = ("bloch", "dilation", "hv", "ks", "povm")
 
@@ -57,3 +60,21 @@ def test_first_access_loads_every_layer(access):
     code = f"import qcontext; {access}" if access.startswith("qcontext.") else access
     loaded = fresh_modules(code)
     assert set(loaded) >= {f"qcontext.{layer}" for layer in LAYERS}
+
+
+def _imports_numpy(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_only_hv_imports_numpy():
+    sources = sorted((SRC_DIR / "qcontext").glob("*.py"))
+    assert [path.name for path in sources if _imports_numpy(path)] == ["hv.py"]

@@ -15,10 +15,10 @@ from qcontext import (
     cabello_family,
     check_completeness,
     nakamura_family,
-    projector_from_bloch,
 )
+from qcontext.bloch import projector_entries
 
-from conftest import reference_operator, signed_axes
+from conftest import reference_operator, reference_projector, signed_axes
 
 ATOL = 1e-12
 
@@ -139,6 +139,23 @@ def _reference_completeness_sum(context, family) -> np.ndarray:
     return total
 
 
+def _state(n: BlochVector) -> tuple:
+    """The pure state along n as the two rows of its projector's entries."""
+    a, b, c, d = projector_entries(n)
+    return ((a, b), (c, d))
+
+
+@st.composite
+def density_operators(draw):
+    """A pure state, or a mixture p P(n1) + (1 - p) P(n2) of two, as numpy
+    evaluates it."""
+    first = reference_projector(draw(state_directions))
+    if draw(st.booleans()):
+        return first
+    p = draw(st.floats(0, 1))
+    return p * first + (1 - p) * reference_projector(draw(state_directions))
+
+
 @st.composite
 def context_subsets(draw):
     """A model family and an ordered subset of its element labels."""
@@ -157,8 +174,8 @@ class TestCompleteness:
         for family in (nakamura, cabello):
             for i in range(len(family.contexts)):
                 for plus, minus in family.context_pairs(i):
-                    total = family.elements[plus].operator + family.elements[minus].operator
-                    expected = float(family.elements[plus].weight) * np.eye(2)
+                    total = np.add(family.elements[plus].entries, family.elements[minus].entries)
+                    expected = float(family.elements[plus].weight) * np.eye(2).ravel()
                     assert np.max(np.abs(total - expected)) <= ATOL
 
     def test_dropped_element_residual(self, nakamura):
@@ -199,7 +216,6 @@ class TestElementEntries:
     def test_entries_and_operator_carry_numpy_bits(self, direction, weight):
         element = PovmElement("X+", weight, direction)
         expected = reference_operator(element)
-        assert element.operator.tobytes() == expected.tobytes()
         assert np.array(element.entries).tobytes() == expected.tobytes()
 
     def test_entries_are_kept_as_python_complex(self, cabello):
@@ -208,31 +224,54 @@ class TestElementEntries:
         assert all(type(entry) is complex for entry in element.entries)
 
 
+INVALID_STATES = [
+    pytest.param(np.eye(3) / 3, id="3x3"),
+    pytest.param([[1, 0], [0]], id="ragged"),
+    pytest.param("ab", id="string"),
+    pytest.param(None, id="none"),
+    pytest.param([[math.nan, 0], [0, 1]], id="nan-entry"),
+    pytest.param([[0.5, 1], [0, 0.5]], id="non-hermitian"),
+    pytest.param(np.eye(2), id="trace-2"),
+    pytest.param([[1.5, 0], [0, -0.5]], id="negative-eigenvalue"),
+]
+
+
 class TestBornProbability:
     def test_aligned_nakamura_element(self, nakamura):
-        state = projector_from_bloch(BlochVector(0, 0, 1))
+        state = _state(BlochVector(0, 0, 1))
         assert born_probability(state, nakamura.elements["A+"]) == pytest.approx(0.5, abs=ATOL)
 
     def test_antipodal_nakamura_element(self, nakamura):
-        state = projector_from_bloch(BlochVector(0, 0, 1))
+        state = _state(BlochVector(0, 0, 1))
         assert born_probability(state, nakamura.elements["A-"]) == pytest.approx(0.0, abs=ATOL)
 
     def test_orthogonal_cabello_element(self, cabello):
-        v = cabello.elements["A+"].direction.as_array()
-        perp = np.cross(v, [0.0, 0.0, 1.0])
+        v = cabello.elements["A+"].direction
+        perp = np.cross((v.x, v.y, v.z), [0.0, 0.0, 1.0])
         n = BlochVector.normalized(*perp)
-        state = projector_from_bloch(n)
+        state = _state(n)
         assert born_probability(state, cabello.elements["A+"]) == pytest.approx(1 / 8, abs=ATOL)
 
-    def test_invalid_state_rejected(self, nakamura):
-        with pytest.raises(ValueError, match="invalid state"):
-            born_probability(np.array([[1.0, 0.0], [0.0, 1.0]]), nakamura.elements["A+"])
-        with pytest.raises(ValueError, match="invalid state"):
-            born_probabilities(np.eye(3) / 3, list(nakamura.elements.values()))
+    @pytest.mark.parametrize("state", INVALID_STATES)
+    def test_invalid_state_rejected(self, nakamura, state):
+        message = r"^invalid state: expected a 2x2 density operator$"
+        with pytest.raises(ValueError, match=message):
+            born_probability(state, nakamura.elements["A+"])
+        with pytest.raises(ValueError, match=message):
+            born_probabilities(state, list(nakamura.elements.values()))
+
+    @given(density_operators(), st.sampled_from([nakamura_family(), cabello_family()]))
+    def test_matches_numpy_oracle(self, rho, family):
+        elements = list(family.elements.values())
+        values = born_probabilities(rho, elements)
+        for value, element in zip(values, elements):
+            assert abs(value - np.trace(rho @ reference_operator(element)).real) <= 1e-15
+        # The rows as nested tuples of Python complex give the same bits.
+        assert born_probabilities(tuple(map(tuple, rho.tolist())), elements) == values
 
     @given(state_directions)
     def test_batch_equals_one_at_a_time(self, n):
-        state = projector_from_bloch(n)
+        state = _state(n)
         elements = list(cabello_family().elements.values())
         expected = tuple(born_probability(state, e) for e in elements)
         assert born_probabilities(state, elements) == expected
@@ -240,14 +279,14 @@ class TestBornProbability:
     @given(state_directions)
     def test_context_probabilities_sum_to_one(self, n):
         family = nakamura_family()
-        state = projector_from_bloch(n)
+        state = _state(n)
         for context in family.contexts:
             total = sum(born_probability(state, family.elements[l]) for l in context)
             assert total == pytest.approx(1.0, abs=1e-10)
 
     @given(state_directions)
     def test_probability_within_weight_bound(self, n):
-        state = projector_from_bloch(n)
+        state = _state(n)
         for family in (nakamura_family(), cabello_family()):
             for element in family.elements.values():
                 p = born_probability(state, element)
@@ -368,7 +407,9 @@ class TestRotationInvariance:
                 label: PovmElement(
                     label=label,
                     weight=e.weight,
-                    direction=BlochVector.normalized(*(q @ e.direction.as_array())),
+                    direction=BlochVector.normalized(
+                        *(q @ (e.direction.x, e.direction.y, e.direction.z))
+                    ),
                 )
                 for label, e in nakamura.elements.items()
             },
