@@ -7,9 +7,13 @@ simulates the noncontextual hidden-variable model of the dilated
 measurements.
 
 The public names are bound on first use (PEP 562), so ``import qcontext``
-alone loads no layer. Reading any one of them imports all five layers and
-binds every name in ``__all__``, as eager imports would: a tracer that wraps
-the layers' functions finds every layer loaded and every name bound.
+alone loads no layer. The first read of a public name registers all five
+layers in ``sys.modules`` through ``importlib.util.LazyLoader``, then executes
+only the layer that defines the name (with what that layer imports) and binds
+all of that layer's names here. The other layers run on the first read of one
+of their attributes: a tracer that walks ``vars()`` of each registered layer
+executes it then, and finds its functions where it looks for them. So
+``qcontext.cabello_family()`` runs ``tables``, ``bloch`` and ``povm`` only.
 
 Only ``hv`` imports numpy, and only inside its sampling functions, so no
 layer loads it at import. A qubit operator is its four complex entries and a
@@ -19,63 +23,57 @@ and auditing the dilations and deriving the one-to-one certificate run
 without numpy. Of the CLI's commands, only ``simulate`` loads it.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOL",
-    "AuditEntry",
-    "BlochVector",
-    "ColorabilityVerdict",
-    "ConstraintGraph",
-    "ContextHypergraph",
-    "ContradictionCertificate",
-    "DilationReport",
-    "DilationScheme",
-    "HiddenVariable",
-    "ParityObstruction",
-    "PovmElement",
-    "PovmFamily",
-    "SimulationReport",
-    "VertexSet",
-    "bell_marginal_estimate",
-    "born_probabilities",
-    "born_probability",
-    "cabello_family",
-    "check_completeness",
-    "count_consistent_slot_assignments",
-    "dodecahedron_vertices",
-    "enumerate_assignments",
-    "extension_audit",
-    "hexagon_vertices",
-    "inscribed_cubes",
-    "nakamura_family",
-    "noncontextual_value_map",
-    "one_to_one_feasibility",
-    "parity_obstruction",
-    "parse_hypergraph",
-    "sequential_dilation",
-    "simulate_povm",
-    "validate_certificate",
-    "verify_dilation",
-]
+#: Each layer module and the public names it defines; ``__all__`` is their union.
+_LAYER_NAMES = {
+    "bloch": ("ATOL", "BlochVector", "VertexSet", "dodecahedron_vertices",
+              "hexagon_vertices", "inscribed_cubes"),
+    "povm": ("PovmElement", "PovmFamily", "born_probabilities", "born_probability",
+             "cabello_family", "check_completeness", "nakamura_family"),
+    "ks": ("ColorabilityVerdict", "ContextHypergraph", "ParityObstruction",
+           "enumerate_assignments", "parity_obstruction", "parse_hypergraph"),
+    "dilation": ("AuditEntry", "ConstraintGraph", "ContradictionCertificate",
+                 "DilationReport", "DilationScheme", "count_consistent_slot_assignments",
+                 "extension_audit", "one_to_one_feasibility", "sequential_dilation",
+                 "validate_certificate", "verify_dilation"),
+    "hv": ("HiddenVariable", "SimulationReport", "bell_marginal_estimate",
+           "noncontextual_value_map", "simulate_povm"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+__all__ = sorted(_LAYER_OF)
 
-#: The layer modules, all loaded by the first read of a public name.
-_LAYERS = ("bloch", "dilation", "hv", "ks", "povm")
+
+def _register_layers():
+    """Bind every layer here; one not imported yet goes into ``sys.modules``
+    unexecuted, to run on the first read of one of its attributes."""
+    namespace = globals()
+    for layer in _LAYER_NAMES:
+        qualified = f"{__name__}.{layer}"
+        module = sys.modules.get(qualified)
+        if module is None:
+            spec = importlib.util.find_spec(qualified)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[qualified] = module
+            spec.loader.exec_module(module)
+        namespace[layer] = module
 
 
 def __getattr__(name):
-    if name not in __all__ and name not in _LAYERS:
+    layer = _LAYER_OF.get(name, name)
+    if layer not in _LAYER_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layers = [importlib.import_module(f"{__name__}.{layer}") for layer in _LAYERS]
+    _register_layers()
     namespace = globals()
-    for public in __all__:
-        namespace[public] = next(
-            getattr(layer, public) for layer in layers if hasattr(layer, public)
-        )
+    if name in _LAYER_OF:
+        module = namespace[layer]
+        namespace.update((public, getattr(module, public)) for public in _LAYER_NAMES[layer])
     return namespace[name]
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_LAYERS})
+    return sorted({*globals(), *__all__, *_LAYER_NAMES})

@@ -473,6 +473,18 @@ class TestStartup:
         probe = "import sys, qcontext; print('numpy' in sys.modules)"
         assert run_probe(probe).stdout.strip() == "False"
 
+    def test_family_builds_execute_only_their_layers(self):
+        # The first read of a root name executes only the layer defining it;
+        # ks, dilation and hv stay registered but unexecuted.
+        probe = (
+            "import sys, types, qcontext; qcontext.cabello_family(); qcontext.nakamura_family(); "
+            "print(sorted(l for l in ('ks', 'dilation', 'hv') "
+            "if type(sys.modules['qcontext.' + l]) is types.ModuleType), 'numpy' in sys.modules)"
+        )
+        proc = run_probe(probe)
+        assert proc.stderr == ""
+        assert proc.stdout.strip() == "[] False"
+
     def test_born_rule_and_checks_load_no_numpy(self):
         # The Born rule, the state check and completeness work on 2x2 entries.
         probe = (

@@ -1,5 +1,6 @@
-"""The package root binds its public names lazily (PEP 562), and only ``hv``
-imports numpy."""
+"""The package root binds its public names lazily (PEP 562): the first read
+of one registers every layer in ``sys.modules`` and executes only the layer
+that defines it. Only ``hv`` imports numpy."""
 
 import ast
 import json
@@ -55,11 +56,64 @@ def test_import_alone_loads_no_layer():
 @pytest.mark.parametrize("access", ["qcontext.ATOL", "qcontext.parse_hypergraph",
                                     "from qcontext import nakamura_family", "qcontext.ks"])
 def test_first_access_loads_every_layer(access):
-    # perfbench/tracer.py wraps each layer's functions at install time, so it
-    # needs all five loaded and the root's names already bound.
+    # perfbench/tracer.py reads sys.modules["qcontext.<layer>"] for all five
+    # layers at install time, and its vars() walk executes those still
+    # registered lazily; so the first read must register every layer.
     code = f"import qcontext; {access}" if access.startswith("qcontext.") else access
     loaded = fresh_modules(code)
     assert set(loaded) >= {f"qcontext.{layer}" for layer in LAYERS}
+
+
+def test_first_access_executes_only_the_owning_layer():
+    # type() reads no attribute, so it does not trigger a lazy layer's load.
+    probe = run_probe(
+        "import json, sys, types, qcontext; qcontext.cabello_family(); "
+        f"print(json.dumps({{layer: type(sys.modules['qcontext.' + layer]) is types.ModuleType "
+        f"for layer in {LAYERS!r}}}))"
+    )
+    assert probe.stderr == ""
+    assert json.loads(probe.stdout) == {
+        "bloch": True, "dilation": False, "hv": False, "ks": False, "povm": True,
+    }
+
+
+def test_vars_executes_a_registered_layer():
+    # What perfbench/tracer.py does at install time: vars() on each layer
+    # runs the lazy ones and exposes every name the root maps to them.
+    probe = run_probe(
+        "import json, sys, types, qcontext; qcontext.cabello_family(); "
+        "out = {}\n"
+        f"for layer in {LAYERS!r}:\n"
+        "    module = sys.modules['qcontext.' + layer]\n"
+        "    exports = set(qcontext._LAYER_NAMES[layer])\n"
+        "    out[layer] = [exports <= set(vars(module)), type(module) is types.ModuleType]\n"
+        "print(json.dumps(out))"
+    )
+    assert probe.stderr == ""
+    assert json.loads(probe.stdout) == {layer: [True, True] for layer in LAYERS}
+
+
+def _top_level_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_name_map_lists_what_each_layer_defines():
+    # Parsed, not imported: a misfiled or vanished name fails here without
+    # executing any layer.
+    assert sorted(qcontext._LAYER_NAMES) == sorted(LAYERS)
+    public = set(qcontext.__all__)
+    for layer, names in qcontext._LAYER_NAMES.items():
+        defined = _top_level_names(SRC_DIR / "qcontext" / f"{layer}.py")
+        assert set(names) == defined & public, layer
+    assert len(qcontext.__all__) == sum(map(len, qcontext._LAYER_NAMES.values()))
 
 
 def _imports_numpy(path: Path) -> bool:
