@@ -30,8 +30,7 @@ __version__ = "0.1.0"
 
 #: Each layer module and the public names it defines; ``__all__`` is their union.
 _LAYER_NAMES = {
-    "bloch": ("ATOL", "BlochVector", "VertexSet", "dodecahedron_vertices",
-              "hexagon_vertices", "inscribed_cubes"),
+    "bloch": ("ATOL", "BlochVector", "dodecahedron_vertices", "hexagon_vertices"),
     "povm": ("PovmElement", "PovmFamily", "born_probabilities", "born_probability",
              "cabello_family", "check_completeness", "nakamura_family"),
     "ks": ("ColorabilityVerdict", "ContextHypergraph", "ParityObstruction",

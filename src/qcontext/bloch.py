@@ -1,5 +1,9 @@
 """Bloch-sphere geometry: unit vectors, qubit operators, and the two vertex solids.
 
+Each solid is a map from signed element label ("A+", "A-", ...) to unit
+direction, the form the families are built from; the dodecahedron's letters
+come from its inscribed cubes and the ``tables`` cabello rows.
+
 The geometry is plain Python over float tuples, and a qubit operator's one
 form is its four complex entries: ``projector_entries``,
 ``hermitian_min_eigenvalue`` and ``is_density_operator`` work on those. The
@@ -16,10 +20,6 @@ from .tables import CABELLO_CONTEXT_LETTERS
 
 #: Tolerance for closed-form algebraic identities in double precision.
 ATOL = 1e-12
-
-#: Dot-product tolerance for finding antipodes and cubes: ``inscribed_cubes``
-#: takes caller vertex sets, whose vectors are unit only to ``ATOL``.
-STRUCTURE_TOL = 1e-9
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -64,9 +64,6 @@ class BlochVector:
 
     def dot(self, other: "BlochVector") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def antipode(self) -> "BlochVector":
-        return BlochVector(-self.x, -self.y, -self.z)
 
 
 #: The Pauli basis (I, sigma_x, sigma_y, sigma_z), each matrix as its four
@@ -120,38 +117,6 @@ def is_density_operator(entries: Entries) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """Antipodally paired unit vectors with one letter label per pair.
-
-    ``pairs[i]`` holds (plus_index, minus_index) for the pair labeled
-    ``labels[i]``; signed names like "A+" resolve through ``direction``.
-    """
-
-    vertices: tuple[BlochVector, ...]
-    pairs: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.pairs):
-            raise ValueError("one label per antipodal pair required")
-        seen: set[int] = set()
-        for plus, minus in self.pairs:
-            if abs(self.vertices[plus].dot(self.vertices[minus]) + 1.0) > ATOL:
-                raise ValueError(f"vertices {plus},{minus} are not antipodal")
-            seen.update((plus, minus))
-        if seen != set(range(len(self.vertices))):
-            raise ValueError("every vertex must belong to exactly one antipodal pair")
-
-    def direction(self, signed_label: str) -> BlochVector:
-        """Vector for a signed label, e.g. "A+" or "A-"."""
-        letter, sign = signed_label[:-1], signed_label[-1]
-        if sign not in "+-" or letter not in self.labels:
-            raise KeyError(f"unknown element label {signed_label!r}")
-        plus, minus = self.pairs[self.labels.index(letter)]
-        return self.vertices[plus if sign == "+" else minus]
-
-
 def _gram(coords: list[tuple[float, float, float]]) -> list[list[float]]:
     """Every pairwise dot product of the points, as rows."""
     return [[x * u + y * v + z * w for u, v, w in coords] for x, y, z in coords]
@@ -160,7 +125,7 @@ def _gram(coords: list[tuple[float, float, float]]) -> list[list[float]]:
 def _antipodal_pairs(dots: list[list[float]]) -> list[tuple[int, int]]:
     pairs = []
     for i, row in enumerate(dots):
-        opposite = [j for j, d in enumerate(row) if abs(d + 1.0) <= STRUCTURE_TOL]
+        opposite = [j for j, d in enumerate(row) if abs(d + 1.0) <= ATOL]
         if len(opposite) != 1:
             raise ValueError("structure not found: vertex without a unique antipode")
         if i < opposite[0]:
@@ -180,9 +145,9 @@ def _find_cubes(dots: list[list[float]]) -> list[tuple[int, ...]]:
     anti = [row.index(min(row)) for row in dots]
     cubes: set[tuple[int, ...]] = set()
     for i, row in enumerate(dots):
-        neighbours = [j for j, d in enumerate(row) if abs(d - 1 / 3) <= STRUCTURE_TOL]
+        neighbours = [j for j, d in enumerate(row) if abs(d - 1 / 3) <= ATOL]
         for triple in itertools.combinations(neighbours, 3):
-            if all(abs(dots[a][b] + 1 / 3) <= STRUCTURE_TOL for a, b in itertools.combinations(triple, 2)):
+            if all(abs(dots[a][b] + 1 / 3) <= ATOL for a, b in itertools.combinations(triple, 2)):
                 members = set()
                 for j in (i, *triple):
                     members.update((j, anti[j]))
@@ -191,30 +156,15 @@ def _find_cubes(dots: list[list[float]]) -> list[tuple[int, ...]]:
     return sorted(cubes)
 
 
-def inscribed_cubes(vs: VertexSet) -> tuple[tuple[int, ...], ...]:
-    """The 5 inscribed cubes of the dodecahedron vertex set, as index tuples.
-
-    Cubes are returned in canonical (sorted) order. Raises ValueError when the
-    input does not carry the expected structure: exactly 5 cubes with every
-    vertex in exactly 2 of them.
-    """
-    cubes = _find_cubes(_gram([(v.x, v.y, v.z) for v in vs.vertices]))
-    incidence = [sum(i in cube for cube in cubes) for i in range(len(vs.vertices))]
-    if len(cubes) != 5 or set(incidence) != {2}:
-        raise ValueError(
-            "structure not found: input is not a regular dodecahedron vertex set"
-        )
-    return tuple(cubes)
-
-
-def dodecahedron_vertices() -> VertexSet:
-    """Twenty unit vertices of the regular dodecahedron, paired and labeled A..J.
+def dodecahedron_vertices() -> dict[str, BlochVector]:
+    """The regular dodecahedron's twenty unit vertices by signed label, A+ to J-.
 
     Coordinates are the standard convention (+-1,+-1,+-1)/sqrt(3) together
-    with cyclic permutations of (0, +-1/phi, +-phi)/sqrt(3). Pair letters are
-    derived from the inscribed-cube incidence so that cube k realizes row k of
-    the five-measurement listing; within a pair the lexicographically larger
-    coordinate triple is the "+" vertex.
+    with cyclic permutations of (0, +-1/phi, +-phi)/sqrt(3). Each antipodal
+    pair lies in exactly two of the five inscribed cubes and takes the letter
+    that the ``tables`` cabello rows of those two cubes share, so cube k
+    realizes row k of the five-measurement listing; within a pair the
+    lexicographically larger coordinate triple is the "+" vertex.
     """
     phi = GOLDEN_RATIO
     raw = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
@@ -228,7 +178,8 @@ def dodecahedron_vertices() -> VertexSet:
     dots = _gram(coords)
     pairs = _antipodal_pairs(dots)
     cubes = _find_cubes(dots)
-    if len(cubes) != 5:
+    incidence = [sum(i in cube for cube in cubes) for i in range(len(coords))]
+    if len(cubes) != 5 or set(incidence) != {2}:
         raise ValueError("structure not found: dodecahedron cube search failed")
 
     # Each letter sits in exactly two rows of the published listing; a pair
@@ -237,39 +188,30 @@ def dodecahedron_vertices() -> VertexSet:
         frozenset(k for k, row in enumerate(CABELLO_CONTEXT_LETTERS) if letter in row): letter
         for letter in set("".join(CABELLO_CONTEXT_LETTERS))
     }
-    labeled: list[tuple[str, tuple[int, int]]] = []
+    directions = {}
     for i, j in pairs:
-        membership = frozenset(k for k, cube in enumerate(cubes) if i in cube)
-        letter = letter_of_rows[membership]
+        letter = letter_of_rows[frozenset(k for k, cube in enumerate(cubes) if i in cube)]
         plus, minus = (i, j) if coords[i] > coords[j] else (j, i)
-        labeled.append((letter, (plus, minus)))
-    labeled.sort()
-
-    return VertexSet(
-        vertices=tuple(BlochVector(*c) for c in coords),
-        pairs=tuple(pair for _, pair in labeled),
-        labels=tuple(letter for letter, _ in labeled),
-    )
+        directions[f"{letter}+"] = BlochVector(*coords[plus])
+        directions[f"{letter}-"] = BlochVector(*coords[minus])
+    # "+" sorts before "-", so the labels run A+, A-, B+, ...
+    return dict(sorted(directions.items()))
 
 
-def hexagon_vertices() -> VertexSet:
-    """Six coplanar unit vectors at 60-degree spacing, paired as A, B, C.
+def hexagon_vertices() -> dict[str, BlochVector]:
+    """Six coplanar unit vectors at 60-degree spacing by signed label, A+ to C-.
 
     Convention: the x-z plane with angles measured from +z, so A+ is the north
-    pole; vertex k and k+3 are antipodal. Coordinates are closed-form
-    (sin and cos of k*60 degrees are 0, +-1/2, +-sqrt(3)/2).
+    pole, and going round the hexagon gives A+, B+, C+, A-, B-, C-.
+    Coordinates are closed-form (sin and cos of k*60 degrees are 0, +-1/2,
+    +-sqrt(3)/2).
     """
     half_root3 = math.sqrt(3) / 2
-    coords = [
-        (0.0, 0.0, 1.0),
-        (half_root3, 0.0, 0.5),
-        (half_root3, 0.0, -0.5),
-        (0.0, 0.0, -1.0),
-        (-half_root3, 0.0, -0.5),
-        (-half_root3, 0.0, 0.5),
-    ]
-    return VertexSet(
-        vertices=tuple(BlochVector(*c) for c in coords),
-        pairs=((0, 3), (1, 4), (2, 5)),
-        labels=("A", "B", "C"),
-    )
+    return {
+        "A+": BlochVector(0.0, 0.0, 1.0),
+        "A-": BlochVector(0.0, 0.0, -1.0),
+        "B+": BlochVector(half_root3, 0.0, 0.5),
+        "B-": BlochVector(-half_root3, 0.0, -0.5),
+        "C+": BlochVector(half_root3, 0.0, -0.5),
+        "C-": BlochVector(-half_root3, 0.0, 0.5),
+    }

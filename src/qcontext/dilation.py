@@ -135,10 +135,9 @@ class DilationReport:
 
     @property
     def max_residual(self) -> float:
-        values = [self.orthogonality_residual, self.completeness_residual]
-        values.extend(self.element_residuals.values())
-        # max() keeps a NaN only when it comes first; any NaN must fail passed().
-        return math.nan if any(math.isnan(v) for v in values) else max(values)
+        # NaN when any residual is NaN, so that passed() fails.
+        residuals = self.element_residuals.values()
+        return _max_norm((self.orthogonality_residual, self.completeness_residual, *residuals))
 
     def passed(self) -> bool:
         return self.max_residual <= ATOL

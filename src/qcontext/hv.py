@@ -144,7 +144,9 @@ def _sample(
         # every CLI start would pay for nothing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Under fork the pool starts all max_workers processes at the first
+        # submit, so it is never opened wider than the shard count.
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_povm_shard, tasks))
     else:
         results = [_povm_shard(task) for task in tasks]

@@ -199,7 +199,7 @@ def parse_hypergraph(text: str) -> ContextHypergraph:
     """Parse the one-context-per-line text format.
 
     Labels are comma-separated; blank lines and lines starting with '#' are
-    skipped.
+    skipped. Text with no context line raises ValueError.
     """
     contexts = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -210,4 +210,6 @@ def parse_hypergraph(text: str) -> ContextHypergraph:
         if any(not label for label in labels):
             raise ValueError(f"line {lineno}: empty label in context line {line!r}")
         contexts.append(tuple(labels))
+    if not contexts:
+        raise ValueError("no context line")
     return ContextHypergraph.from_contexts(contexts)

@@ -230,12 +230,8 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _build_family(name, vertex_set, weight) -> PovmFamily:
-    elements = {}
-    for letter in vertex_set.labels:
-        for sign in "+-":
-            label = f"{letter}{sign}"
-            elements[label] = PovmElement(label, weight, vertex_set.direction(label))
+def _build_family(name, directions, weight) -> PovmFamily:
+    elements = {label: PovmElement(label, weight, v) for label, v in directions.items()}
     return PovmFamily(name=name, elements=elements, contexts=MODEL_CONTEXTS[name])
 
 

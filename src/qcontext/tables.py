@@ -1,10 +1,10 @@
-"""Numpy-free constants: the built-in context tables and the sample ceiling.
+"""Plain constants: the built-in context tables and the sample ceiling.
 
 The CLI checks ``--model``, ``--context`` and ``--samples`` against these
 and builds the ``ks-search --model`` hypergraph from them without building a
-family, so a command that does no numerics never imports numpy. ``povm``
-builds the two families from the same rows, and ``hv`` enforces the same
-ceiling.
+family: a usage error never executes ``povm``, and ``ks-search --model``
+executes neither ``bloch`` nor ``povm``. ``povm`` builds the two families
+from the same rows, and ``hv`` enforces the same ceiling.
 """
 
 #: Letters per measurement, one row per context, for the 5x8 construction.

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcontext import (
-    BlochVector,
-    VertexSet,
-    dodecahedron_vertices,
-    hexagon_vertices,
-    inscribed_cubes,
-)
+from qcontext import BlochVector, bloch, dodecahedron_vertices, hexagon_vertices
 from qcontext.bloch import hermitian_min_eigenvalue, is_density_operator, projector_entries
 
 from conftest import reference_projector, signed_axes
@@ -42,8 +36,8 @@ def _matrix(v: BlochVector) -> np.ndarray:
 
 
 def _coords(vs) -> np.ndarray:
-    """A vertex set's vectors as the rows of an array."""
-    return np.array([(v.x, v.y, v.z) for v in vs.vertices])
+    """A solid's directions, in label order, as the rows of an array."""
+    return np.array([(v.x, v.y, v.z) for v in vs.values()])
 
 
 def _exact_min_eigenvalue(entries) -> float:
@@ -80,11 +74,6 @@ class TestBlochVector:
         v = BlochVector.normalized(scale, -scale, scale)
         assert v.x == -v.y == v.z == pytest.approx(1 / math.sqrt(3), abs=ATOL)
 
-    def test_antipode_is_valid_and_negates(self):
-        v = BlochVector.normalized(1, 2, 3)
-        assert v.antipode() == BlochVector(-v.x, -v.y, -v.z)
-        assert v.dot(v.antipode()) == pytest.approx(-1.0, abs=ATOL)
-
 
 class TestProjectors:
     def test_north_pole(self):
@@ -105,7 +94,7 @@ class TestProjectors:
         assert np.max(np.abs(p - p.conj().T)) <= ATOL
         assert np.max(np.abs(p @ p - p)) <= ATOL
         assert abs(np.trace(p).real - 1.0) <= ATOL
-        q = _matrix(v.antipode())
+        q = _matrix(BlochVector(-v.x, -v.y, -v.z))
         assert np.max(np.abs(p + q - np.eye(2))) <= ATOL
 
     @given(unit_vectors, unit_vectors)
@@ -161,15 +150,33 @@ class TestMinEigenvalue:
             assert hermitian_min_eigenvalue(projector_entries(v)) == 0.0
 
 
+#: Pairwise dots of a cube's 8 vertices: 4 body diagonals, 12 face
+#: diagonals, 12 edges.
+CUBE_SIGNATURE = [-1.0] * 4 + [round(-1 / 3, 6)] * 12 + [round(1 / 3, 6)] * 12
+
+
+def _dot_signature(directions) -> list[float]:
+    return sorted(round(a.dot(b), 6) for a, b in itertools.combinations(directions, 2))
+
+
+def _signed_labels(letters: str) -> list[str]:
+    return [f"{letter}{sign}" for letter in letters for sign in "+-"]
+
+
+@pytest.mark.parametrize("solid", [dodecahedron_vertices, hexagon_vertices])
+def test_minus_negates_plus(solid):
+    vs = solid()
+    for letter in {label[:-1] for label in vs}:
+        plus, minus = vs[f"{letter}+"], vs[f"{letter}-"]
+        assert (minus.x, minus.y, minus.z) == (-plus.x, -plus.y, -plus.z)
+
+
 class TestDodecahedron:
     def test_counts(self):
-        vs = dodecahedron_vertices()
-        assert len(vs.vertices) == 20
-        assert len(vs.pairs) == 10
-        assert vs.labels == tuple("ABCDEFGHIJ")
+        assert list(dodecahedron_vertices()) == _signed_labels("ABCDEFGHIJ")
 
     def test_unit_norms(self):
-        for v in dodecahedron_vertices().vertices:
+        for v in dodecahedron_vertices().values():
             assert abs(v.dot(v) - 1.0) <= ATOL
 
     def test_nearest_neighbour_separation_uniform(self):
@@ -182,91 +189,63 @@ class TestDodecahedron:
         assert np.max(np.abs(nearest - nearest[0])) <= 1e-9
         assert nearest[0] == pytest.approx(math.sqrt(5) / 3, abs=1e-9)
 
-    def test_inscribed_cubes_structure(self):
-        vs = dodecahedron_vertices()
-        cubes = inscribed_cubes(vs)
-        assert len(cubes) == 5
-        coords = _coords(vs)
-        for cube in cubes:
-            assert len(cube) == 8
-            dots = sorted(
-                round(float(coords[a] @ coords[b]), 6)
-                for a, b in itertools.combinations(cube, 2)
-            )
-            # Cube signature: 4 body diagonals, 12 face diagonals, 12 edges.
-            assert dots == [-1.0] * 4 + [round(-1 / 3, 6)] * 12 + [round(1 / 3, 6)] * 12
-        incidence = [sum(i in cube for cube in cubes) for i in range(20)]
-        assert set(incidence) == {2}
+    def test_inscribed_cubes_structure(self, cabello):
+        # Each context's 8 directions are an inscribed cube, and every
+        # element sits in exactly 2 of the 5.
+        assert len(cabello.contexts) == 5
+        for context in cabello.contexts:
+            assert len(context) == 8
+            directions = [cabello.elements[label].direction for label in context]
+            assert _dot_signature(directions) == CUBE_SIGNATURE
+        assert {len(cabello.element_contexts(label)) for label in cabello.elements} == {2}
 
-    def test_inscribed_cubes_against_pair_combination_oracle(self):
-        # Independent search: pick 4 antipodal pairs and accept the 8 vertices
-        # when their pairwise dot multiset matches the cube signature.
-        vs = dodecahedron_vertices()
-        coords = _coords(vs)
-        signature = sorted([-1.0] * 4 + [round(-1 / 3, 6)] * 12 + [round(1 / 3, 6)] * 12)
+    def test_inscribed_cubes_against_pair_combination_oracle(self, cabello):
+        # Independent search: pick 4 antipodal pairs and accept the 8
+        # directions when their pairwise dot multiset matches the cube
+        # signature. The cubes found must be exactly the contexts, so each
+        # cube carries the letters of its measurement row.
+        letters = sorted({label[:-1] for label in cabello.elements})
         found = set()
-        for combo in itertools.combinations(vs.pairs, 4):
-            idx = [i for pair in combo for i in pair]
-            dots = sorted(
-                round(float(coords[a] @ coords[b]), 6)
-                for a, b in itertools.combinations(idx, 2)
-            )
-            if dots == signature:
-                found.add(tuple(sorted(idx)))
-        assert sorted(found) == list(inscribed_cubes(vs))
+        for combo in itertools.combinations(letters, 4):
+            labels = _signed_labels(combo)
+            directions = [cabello.elements[label].direction for label in labels]
+            if _dot_signature(directions) == CUBE_SIGNATURE:
+                found.add(frozenset(labels))
+        assert found == {frozenset(context) for context in cabello.contexts}
 
-    def test_cube_letters_match_context_rows(self):
-        # Pair letters are defined through cube membership, so cube k must
-        # carry exactly the letters of measurement row k.
-        from qcontext.tables import CABELLO_CONTEXT_LETTERS
-
-        vs = dodecahedron_vertices()
-        cubes = inscribed_cubes(vs)
-        for k, cube in enumerate(cubes):
-            letters = {
-                vs.labels[i]
-                for i, pair in enumerate(vs.pairs)
-                if pair[0] in cube
-            }
-            assert letters == set(CABELLO_CONTEXT_LETTERS[k])
-
-    def test_structure_error_on_wrong_input(self):
+    def test_structure_error_on_wrong_input(self, monkeypatch):
+        # With a wrong ratio the points are no dodecahedron's.
+        monkeypatch.setattr(bloch, "GOLDEN_RATIO", 1.6)
         with pytest.raises(ValueError, match="structure not found"):
-            inscribed_cubes(hexagon_vertices())
+            dodecahedron_vertices()
+
+    @pytest.mark.parametrize(
+        "damage", [lambda cubes: cubes[:4], lambda cubes: cubes[:4] + cubes[:1]],
+        ids=["four-cubes", "repeated-cube"],
+    )
+    def test_cube_guard(self, monkeypatch, damage):
+        find_cubes = bloch._find_cubes
+        monkeypatch.setattr(bloch, "_find_cubes", lambda dots: damage(find_cubes(dots)))
+        with pytest.raises(ValueError, match="structure not found"):
+            dodecahedron_vertices()
 
 
 class TestHexagon:
     def test_counts_and_pairs(self):
-        vs = hexagon_vertices()
-        assert len(vs.vertices) == 6
-        assert len(vs.pairs) == 3
-        assert vs.labels == ("A", "B", "C")
+        assert list(hexagon_vertices()) == _signed_labels("ABC")
 
     def test_antipodal_and_adjacent_dots(self):
         vs = hexagon_vertices()
-        assert vs.direction("A+").dot(vs.direction("A-")) == -1.0
-        assert vs.direction("A+").dot(vs.direction("B+")) == 0.5
+        assert vs["A+"].dot(vs["A-"]) == -1.0
+        assert vs["A+"].dot(vs["B+"]) == 0.5
 
     def test_coplanar_at_sixty_degrees(self):
         vs = hexagon_vertices()
-        assert all(v.y == 0.0 for v in vs.vertices)
+        ring = [vs[label] for label in ("A+", "B+", "C+", "A-", "B-", "C-")]
+        assert all(v.y == 0.0 for v in ring)
         for i in range(6):
-            assert vs.vertices[i].dot(vs.vertices[(i + 1) % 6]) == pytest.approx(0.5, abs=ATOL)
+            assert ring[i].dot(ring[(i + 1) % 6]) == pytest.approx(0.5, abs=ATOL)
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
-            hexagon_vertices().direction("Z+")
-
-
-class TestVertexSetValidation:
-    def test_rejects_non_antipodal_pairing(self):
-        v = BlochVector(0, 0, 1)
-        w = BlochVector(1, 0, 0)
-        with pytest.raises(ValueError, match="antipodal"):
-            VertexSet(vertices=(v, w), pairs=((0, 1),), labels=("A",))
-
-    def test_rejects_unpaired_vertices(self):
-        v = BlochVector(0, 0, 1)
-        with pytest.raises(ValueError):
-            VertexSet(vertices=(v, v.antipode(), BlochVector(1, 0, 0)),
-                      pairs=((0, 1),), labels=("A",))
+            hexagon_vertices()["Z+"]

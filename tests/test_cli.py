@@ -336,6 +336,8 @@ class TestUsageErrors:
             pytest.param(("ks-search", "--model", "cabello", "--hypergraph", "/nonexist"),
                          "ks-search takes --model or --hypergraph, not both",
                          id="ks-search-both-sources"),
+            pytest.param(("ks-search", "--hypergraph", "/dev/null"),
+                         "cannot parse hypergraph: no context line", id="ks-search-empty-hypergraph"),
             pytest.param(("family", "--model", "nakamura", "--format", "csv"), "--format",
                          id="family-format-csv"),
             pytest.param((*SIMULATE, "--samples", "0"), "samples must be >= 1", id="samples-0"),

@@ -208,6 +208,34 @@ class TestSimulatePovm:
         two = simulate_povm(cabello, 0, n, SHARD_SIZE + 5, seed=31, workers=2)
         assert one.to_json() == two.to_json()
 
+    def test_pool_never_wider_than_the_shard_count(self, cabello, monkeypatch):
+        import concurrent.futures
+
+        opened = []
+
+        class SerialPool:
+            """Records the pool width and maps in this process."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        n = BlochVector.normalized(0.2, -0.4, 0.9)
+        wide = simulate_povm(cabello, 2, n, 2 * SHARD_SIZE + 1, seed=5, workers=64)
+        assert opened == [3]
+        one = simulate_povm(cabello, 2, n, 2 * SHARD_SIZE + 1, seed=5, workers=1)
+        assert opened == [3]
+        assert wide.to_json() == one.to_json()
+
     def test_invalid_inputs(self, nakamura):
         with pytest.raises(ValueError):
             simulate_povm(nakamura, 9, Z, 10, seed=0)

@@ -331,6 +331,13 @@ class TestHypergraphParsing:
         with pytest.raises(ValueError, match="empty label"):
             parse_hypergraph("a,,b\n")
 
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", "# a comment\n   \n"], ids=["empty", "blank", "comments-only"]
+    )
+    def test_parse_rejects_text_without_context(self, text):
+        with pytest.raises(ValueError, match="no context line"):
+            parse_hypergraph(text)
+
     def test_duplicate_label_in_context_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_hypergraph("a,a\n")
