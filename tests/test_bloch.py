@@ -213,6 +213,19 @@ class TestDodecahedron:
                 found.add(frozenset(labels))
         assert found == {frozenset(context) for context in cabello.contexts}
 
+    def test_cube_letters_match_context_rows(self):
+        # Pair letters are defined through cube membership, so cube k of the
+        # search (run on the vertices in coordinate order) must carry exactly
+        # the letters of measurement row k.
+        from qcontext.tables import CABELLO_CONTEXT_LETTERS
+
+        by_coords = sorted((v.x, v.y, v.z, label) for label, v in dodecahedron_vertices().items())
+        labels = [label for *_, label in by_coords]
+        cubes = bloch._find_cubes(bloch._gram([point[:3] for point in by_coords]))
+        assert len(cubes) == len(CABELLO_CONTEXT_LETTERS)
+        for cube, row in zip(cubes, CABELLO_CONTEXT_LETTERS):
+            assert {labels[i][:-1] for i in cube} == set(row)
+
     def test_structure_error_on_wrong_input(self, monkeypatch):
         # With a wrong ratio the points are no dodecahedron's.
         monkeypatch.setattr(bloch, "GOLDEN_RATIO", 1.6)
