@@ -18,6 +18,11 @@ block it draws z into a reused buffer, writes each slot's projections z.v
 into one row of another and picks sample i's own with one ``take`` at flat
 index lam * (row length) + i.
 
+The runner runs a call's shards on a thread pool. numpy releases the GIL in
+the Gaussian draw and in the matrix-vector products, which do most of a
+shard's work, so two threads overlap on two cores with no fork and no
+pickling.
+
 This is the one module that knows numpy, and its array functions import it
 when called, so ``noncontextual_value_map`` and the report types load none.
 The Born values it compares against are computed on 2x2 entries by ``povm``.
@@ -95,7 +100,7 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
         z = rng.standard_normal(out=zbuf[:width])
         # m = z/|z| is never built: sign((z/|z| + n).d) = sign(z.d + |z|(n.d)).
         # One matrix-vector product per slot: a gemm against plus_dirs.T would
-        # start BLAS threads inside every pool worker and oversubscribe the cores.
+        # start BLAS threads inside every pool thread and oversubscribe the cores.
         for k in range(n_slots):
             np.matmul(z, plus_dirs[k], out=proj[k, :width])
         signed = proj.take(lam * size + offsets[:width])
@@ -118,9 +123,10 @@ def _sample(
     """Merged counts over the slots' "+" directions; shard k draws from
     substream (seed, k) alone, so the counts are the same for any worker count."""
     # bool is an int subclass, so True would otherwise run one sample (or seed
-    # 1). A numpy integer is refused too: the report stores both, and json
-    # cannot write one. A seed of None would run on fresh OS entropy.
-    for name, value in (("samples", samples), ("seed", seed)):
+    # 1, or one worker). A numpy integer is refused too: the report stores
+    # samples and seed, and json cannot write one. A seed of None would run on
+    # fresh OS entropy.
+    for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {type(value).__name__}")
     if seed < 0:
@@ -140,13 +146,11 @@ def _sample(
         for k, start in enumerate(range(0, samples, SHARD_SIZE))
     ]
     if workers > 1 and len(tasks) > 1:
-        # Imported here: the pool machinery costs ~17 ms to import, which
-        # every CLI start would pay for nothing.
-        from concurrent.futures import ProcessPoolExecutor
+        # Imported here: the thread pool costs ~6 ms to import, which every
+        # CLI start would pay for nothing.
+        from concurrent.futures import ThreadPoolExecutor
 
-        # Under fork the pool starts all max_workers processes at the first
-        # submit, so it is never opened wider than the shard count.
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_povm_shard, tasks))
     else:
         results = [_povm_shard(task) for task in tasks]

@@ -471,6 +471,19 @@ class TestStartup:
         )
         assert run_probe(probe).stdout.strip() == "[]"
 
+    def test_parallel_simulation_starts_no_process(self):
+        # Shards run on threads: no process pool is imported, let alone forked.
+        probe = (
+            "import sys, qcontext as q\n"
+            "from qcontext.hv import SHARD_SIZE\n"
+            "q.simulate_povm(q.cabello_family(), 0, q.BlochVector(0, 0, 1), "
+            "2 * SHARD_SIZE + 1, seed=1, workers=2)\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        proc = run_probe(probe)
+        assert proc.stderr == ""
+        assert proc.stdout.strip() == "[]"
+
     def test_package_import_loads_no_numpy(self):
         probe = "import sys, qcontext; print('numpy' in sys.modules)"
         assert run_probe(probe).stdout.strip() == "False"

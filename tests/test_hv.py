@@ -148,7 +148,7 @@ def _marginal(nakamura, samples, workers, seed=1):
 class TestSampleArguments:
     """Both entry points reach the one runner, which names the bad argument."""
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, 1.5, True, "2", None])
     def test_rejects_workers_below_one(self, nakamura, run, workers):
         with pytest.raises(ValueError, match="workers"):
             run(nakamura, 1000, workers)
@@ -209,31 +209,25 @@ class TestSimulatePovm:
         assert one.to_json() == two.to_json()
 
     def test_pool_never_wider_than_the_shard_count(self, cabello, monkeypatch):
-        import concurrent.futures
+        import threading
 
-        opened = []
+        from qcontext import hv
 
-        class SerialPool:
-            """Records the pool width and maps in this process."""
+        ran_on = []
 
-            def __init__(self, max_workers):
-                opened.append(max_workers)
+        def recording_shard(task):
+            ran_on.append(threading.get_ident())
+            return _povm_shard(task)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(hv, "_povm_shard", recording_shard)
         n = BlochVector.normalized(0.2, -0.4, 0.9)
+        # A thread pool starts a thread only for a task that finds none idle,
+        # so 64 workers over 3 shards run on at most 3 threads.
         wide = simulate_povm(cabello, 2, n, 2 * SHARD_SIZE + 1, seed=5, workers=64)
-        assert opened == [3]
+        assert len(ran_on) == 3
+        assert len(set(ran_on)) <= 3
+        assert threading.get_ident() not in ran_on
         one = simulate_povm(cabello, 2, n, 2 * SHARD_SIZE + 1, seed=5, workers=1)
-        assert opened == [3]
         assert wide.to_json() == one.to_json()
 
     def test_invalid_inputs(self, nakamura):
