@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .tables import CABELLO_CONTEXT_LETTERS
+from .tables import CABELLO_CONTEXT_LETTERS, Frozen
 
 #: Tolerance for closed-form algebraic identities in double precision.
 ATOL = 1e-12
@@ -29,8 +28,7 @@ def _require_finite(x: float, y: float, z: float) -> None:
         raise ValueError(f"invalid direction: non-finite component in ({x!r}, {y!r}, {z!r})")
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(Frozen):
     """Unit 3-vector on the Bloch sphere.
 
     Construction rejects non-finite components and non-unit input
@@ -38,15 +36,16 @@ class BlochVector:
     one from an arbitrary direction.
     """
 
-    x: float
-    y: float
-    z: float
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __post_init__(self):
-        _require_finite(self.x, self.y, self.z)
-        norm_sq = self.x * self.x + self.y * self.y + self.z * self.z
+    def __init__(self, x: float, y: float, z: float):
+        _require_finite(x, y, z)
+        norm_sq = x * x + y * y + z * z
         if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"invalid direction: not a unit vector, |v|^2 = {norm_sq!r}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "BlochVector":

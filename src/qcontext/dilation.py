@@ -5,8 +5,11 @@ ancilla (x) qubit, with the element recovered by tracing the ancilla out
 against a fixed ancilla state. This module builds the sequential dilation
 (ancilla basis slot per antipodal pair), verifies it, compares the extended
 projectors an element receives in its two contexts, and machine-checks that
-no slot assignment — indeed no one-to-one projector correspondence at all —
-can serve both families.
+no slot assignment can serve both families. Its certificate against any
+one-to-one projector correspondence is narrower: nakamura's direct route
+holds when each context is completed by a zero-contribution filler F_c, but
+the intersection step of cabello's holds only for tight dilations, where
+every F_c = 0.
 
 A sequential dilation's extended projectors are all |k><k| (x) V: one ancilla
 slot k and one qubit projector V. A scheme keeps each as its (slot, V) pair,
@@ -29,13 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bloch import ATOL, Entries
 from .ks import ContextHypergraph, enumerate_assignments
 from .povm import PovmFamily
+from .tables import Frozen
 
 #: An extended projector |slot><slot| (x) V as its slot and V's entries.
 SlotProjector = tuple[int, Entries]
@@ -60,8 +63,7 @@ def _product(a: Entries, b: Entries) -> Entries:
     )
 
 
-@dataclass(frozen=True)
-class DilationScheme:
+class DilationScheme(Frozen):
     """Extended projectors realizing one context with a uniform ancilla.
 
     ``projectors`` pairs each element label with its extended projector
@@ -69,19 +71,25 @@ class DilationScheme:
     is prepared in the uniform superposition over ``ancilla_dim`` slots.
     """
 
-    ancilla_dim: int
-    context_index: int
-    projectors: tuple[tuple[str, SlotProjector], ...]
+    __slots__ = _fields = ("ancilla_dim", "context_index", "projectors")
 
-    def __post_init__(self):
-        if self.ancilla_dim < 1:
-            raise ValueError(f"invalid scheme: ancilla dimension {self.ancilla_dim} has no slot")
-        for label, (slot, _) in self.projectors:
-            if slot not in range(self.ancilla_dim):
+    def __init__(
+        self,
+        ancilla_dim: int,
+        context_index: int,
+        projectors: tuple[tuple[str, SlotProjector], ...],
+    ):
+        if ancilla_dim < 1:
+            raise ValueError(f"invalid scheme: ancilla dimension {ancilla_dim} has no slot")
+        for label, (slot, _) in projectors:
+            if slot not in range(ancilla_dim):
                 raise ValueError(
                     f"invalid scheme: {label} slot {slot!r} outside an ancilla of "
-                    f"dimension {self.ancilla_dim}"
+                    f"dimension {ancilla_dim}"
                 )
+        object.__setattr__(self, "ancilla_dim", ancilla_dim)
+        object.__setattr__(self, "context_index", context_index)
+        object.__setattr__(self, "projectors", projectors)
 
     def projector_for(self, label: str) -> SlotProjector:
         for candidate, projector in self.projectors:
@@ -120,18 +128,28 @@ def sequential_dilation(
     )
 
 
-@dataclass(frozen=True)
-class DilationReport:
+class DilationReport(Frozen):
     """Max-norm residuals of the dilation contracts for one context.
 
     ``to_dict`` writes ``filler_residuals`` as ``[]``: a sequential dilation
     resolves the identity with its element projectors alone.
     """
 
-    context_index: int
-    element_residuals: dict[str, float]
-    orthogonality_residual: float
-    completeness_residual: float
+    __slots__ = _fields = (
+        "context_index", "element_residuals", "orthogonality_residual", "completeness_residual",
+    )
+
+    def __init__(
+        self,
+        context_index: int,
+        element_residuals: dict[str, float],
+        orthogonality_residual: float,
+        completeness_residual: float,
+    ):
+        object.__setattr__(self, "context_index", context_index)
+        object.__setattr__(self, "element_residuals", element_residuals)
+        object.__setattr__(self, "orthogonality_residual", orthogonality_residual)
+        object.__setattr__(self, "completeness_residual", completeness_residual)
 
     @property
     def max_residual(self) -> float:
@@ -197,14 +215,18 @@ def verify_dilation(
     )
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(Frozen):
     """Comparison of one element's extended projectors across two contexts."""
 
-    label: str
-    context_indices: tuple[int, int]
-    equal: bool
-    max_difference: float
+    __slots__ = _fields = ("label", "context_indices", "equal", "max_difference")
+
+    def __init__(
+        self, label: str, context_indices: tuple[int, int], equal: bool, max_difference: float
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "context_indices", context_indices)
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "max_difference", max_difference)
 
     def to_dict(self) -> dict:
         return {
@@ -290,8 +312,7 @@ def filler_atom(context_index: int) -> str:
     return f"F{context_index + 1}"
 
 
-@dataclass(frozen=True)
-class ConstraintGraph:
+class ConstraintGraph(Frozen):
     """Symbolic skeleton of the one-to-one hypothesis for a family.
 
     One completeness group per context: its element atoms (the hypothesis:
@@ -301,7 +322,10 @@ class ConstraintGraph:
     are orthogonal when they are distinct members of one group.
     """
 
-    completeness_groups: tuple[tuple[str, ...], ...]
+    _fields = ("completeness_groups",)
+
+    def __init__(self, completeness_groups: tuple[tuple[str, ...], ...]):
+        object.__setattr__(self, "completeness_groups", completeness_groups)
 
     @classmethod
     def from_family(cls, family: PovmFamily) -> "ConstraintGraph":
@@ -333,12 +357,14 @@ class ConstraintGraph:
         return a != b and self.shared_context(a, b) is not None
 
 
-@dataclass(frozen=True)
-class CertificateStep:
-    index: int
-    rule: str
-    premises: tuple[str, ...]
-    conclusion: str
+class CertificateStep(Frozen):
+    __slots__ = _fields = ("index", "rule", "premises", "conclusion")
+
+    def __init__(self, index: int, rule: str, premises: tuple[str, ...], conclusion: str):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "conclusion", conclusion)
 
     def to_dict(self) -> dict:
         return {
@@ -349,13 +375,15 @@ class CertificateStep:
         }
 
 
-@dataclass(frozen=True)
-class ContradictionCertificate:
+class ContradictionCertificate(Frozen):
     """Ordered deduction chain ending in a zero-contribution contradiction."""
 
-    family: str
-    element: str
-    steps: tuple[CertificateStep, ...]
+    __slots__ = _fields = ("family", "element", "steps")
+
+    def __init__(self, family: str, element: str, steps: tuple[CertificateStep, ...]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "steps", steps)
 
     def to_dict(self) -> dict:
         return {
@@ -475,7 +503,8 @@ def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | Non
     in zero-contribution projectors contributes zero itself. The intersection
     step follows the source argument: a non-filler blocker orthogonal to the
     whole non-filler part of a confinement it is absent from cannot carry the
-    atom's range.
+    atom's range. That holds only when every filler is 0 (a tight dilation):
+    another context's filler need not be orthogonal to the blocker.
     """
     graph = ConstraintGraph.from_family(family)
     for label in sorted(family.elements):

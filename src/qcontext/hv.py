@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .bloch import BlochVector, projector_entries
 from .povm import PovmFamily, born_probabilities
-from .tables import MAX_SAMPLES
+from .tables import MAX_SAMPLES, Frozen
 
 if TYPE_CHECKING:  # imported for real inside the array functions
     import numpy as np
@@ -58,12 +58,14 @@ Z_LIMIT = 5.0
 _VALID_SLOT_COUNTS = (2, 4)
 
 
-@dataclass(frozen=True)
-class HiddenVariable:
+class HiddenVariable(Frozen):
     """One sample: ancilla value lam in {0..N-1} plus sphere vector m."""
 
-    lam: int
-    m: BlochVector
+    __slots__ = _fields = ("lam", "m")
+
+    def __init__(self, lam: int, m: BlochVector):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "m", m)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -150,7 +152,13 @@ def _sample(
         # CLI start would pay for nothing.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # No wider than the shards or than the CPUs this process may run on:
+        # a pool starts a thread for each task that finds none idle.
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        with ThreadPoolExecutor(max_workers=min(workers, len(tasks), usable)) as pool:
             results = list(pool.map(_povm_shard, tasks))
     else:
         results = [_povm_shard(task) for task in tasks]
@@ -168,21 +176,39 @@ def bell_marginal_estimate(
     return int(counts[0]) / samples
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Frozen):
     """Aggregated outcome statistics for one context against Born values."""
 
-    family: str
-    context_index: int
-    state: tuple[float, float, float]
-    samples: int
-    seed: int
-    labels: tuple[str, ...]
-    counts: tuple[int, ...]
-    frequencies: tuple[float, ...]
-    born: tuple[float, ...]
-    z_scores: tuple[float, ...]
-    boundary_count: int
+    __slots__ = _fields = (
+        "family", "context_index", "state", "samples", "seed", "labels", "counts",
+        "frequencies", "born", "z_scores", "boundary_count",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        context_index: int,
+        state: tuple[float, float, float],
+        samples: int,
+        seed: int,
+        labels: tuple[str, ...],
+        counts: tuple[int, ...],
+        frequencies: tuple[float, ...],
+        born: tuple[float, ...],
+        z_scores: tuple[float, ...],
+        boundary_count: int,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "context_index", context_index)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "born", born)
+        object.__setattr__(self, "z_scores", z_scores)
+        object.__setattr__(self, "boundary_count", boundary_count)
 
     def frequencies_sum_to_one(self) -> bool:
         """Exact rational check that the per-element frequencies total 1."""

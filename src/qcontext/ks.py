@@ -13,7 +13,8 @@ dilation.count_consistent_slot_assignments reduces to a hypergraph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+
+from .tables import Frozen
 
 #: Search-node budget of one enumerate_assignments call. Counting exact
 #: covers is exponential in the worst case; past this many expanded nodes the
@@ -21,23 +22,23 @@ from dataclasses import dataclass
 SEARCH_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
-class ContextHypergraph:
+class ContextHypergraph(Frozen):
     """Abstract element-context incidence structure."""
 
-    elements: tuple[str, ...]
-    contexts: tuple[tuple[str, ...], ...]
+    __slots__ = _fields = ("elements", "contexts")
 
-    def __post_init__(self):
-        pool = set(self.elements)
-        if len(pool) != len(self.elements):
+    def __init__(self, elements: tuple[str, ...], contexts: tuple[tuple[str, ...], ...]):
+        pool = set(elements)
+        if len(pool) != len(elements):
             raise ValueError("duplicate element labels")
-        for context in self.contexts:
+        for context in contexts:
             if len(set(context)) != len(context):
                 raise ValueError(f"duplicate labels inside context {context!r}")
             if not pool.issuperset(context):
                 unknown = [label for label in context if label not in pool]
                 raise ValueError(f"context references unknown labels {unknown!r}")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "contexts", contexts)
 
     @classmethod
     def from_contexts(cls, contexts) -> "ContextHypergraph":
@@ -47,8 +48,7 @@ class ContextHypergraph:
         return cls(elements=tuple(seen), contexts=contexts)
 
 
-@dataclass(frozen=True)
-class ParityObstruction:
+class ParityObstruction(Frozen):
     """Certificate that no valid assignment exists, by incidence counting.
 
     When every element lies in exactly ``incidence_multiplicity`` = 2 contexts
@@ -57,8 +57,11 @@ class ParityObstruction:
     even number of incidences.
     """
 
-    context_count: int
-    incidence_multiplicity: int
+    __slots__ = _fields = ("context_count", "incidence_multiplicity")
+
+    def __init__(self, context_count: int, incidence_multiplicity: int):
+        object.__setattr__(self, "context_count", context_count)
+        object.__setattr__(self, "incidence_multiplicity", incidence_multiplicity)
 
     def to_dict(self) -> dict:
         return {
@@ -67,13 +70,22 @@ class ParityObstruction:
         }
 
 
-@dataclass(frozen=True)
-class ColorabilityVerdict:
-    colorable: bool
-    valid_count: int
-    total_assignments: int
-    witness: dict[str, int] | None
-    obstruction: ParityObstruction | None
+class ColorabilityVerdict(Frozen):
+    __slots__ = _fields = ("colorable", "valid_count", "total_assignments", "witness", "obstruction")
+
+    def __init__(
+        self,
+        colorable: bool,
+        valid_count: int,
+        total_assignments: int,
+        witness: dict[str, int] | None,
+        obstruction: ParityObstruction | None,
+    ):
+        object.__setattr__(self, "colorable", colorable)
+        object.__setattr__(self, "valid_count", valid_count)
+        object.__setattr__(self, "total_assignments", total_assignments)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "obstruction", obstruction)
 
     def to_dict(self) -> dict:
         return {

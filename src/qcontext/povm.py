@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Number
@@ -25,13 +24,12 @@ from .bloch import (
     is_density_operator,
     projector_entries,
 )
-from .tables import MODEL_CONTEXTS
+from .tables import MODEL_CONTEXTS, Frozen
 
 Context = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PovmElement:
+class PovmElement(Frozen):
     """Weighted rank-1 POVM element: operator = weight * (I + v.sigma)/2.
 
     The weight lies in (0, 1]: w * P <= I holds for a rank-1 projector P only
@@ -40,16 +38,17 @@ class PovmElement:
     and kept with the element.
     """
 
-    label: str
-    weight: Fraction
-    direction: BlochVector
+    _fields = ("label", "weight", "direction")
 
-    def __post_init__(self):
+    def __init__(self, label: str, weight: Fraction, direction: BlochVector):
         # Written as negations so that a NaN weight fails the first test.
-        if not self.weight > 0:
-            raise ValueError(f"element {self.label!r} must have positive weight")
-        if not self.weight <= 1:
-            raise ValueError(f"element {self.label!r} must have weight at most 1")
+        if not weight > 0:
+            raise ValueError(f"element {label!r} must have positive weight")
+        if not weight <= 1:
+            raise ValueError(f"element {label!r} must have weight at most 1")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "direction", direction)
 
     @cached_property
     def projector_entries(self) -> Entries:
@@ -64,8 +63,7 @@ class PovmElement:
         return tuple(weight * entry for entry in self.projector_entries)
 
 
-@dataclass(frozen=True)
-class PovmFamily:
+class PovmFamily(Frozen):
     """A labeled element pool plus the contexts (measurements) drawing on it.
 
     Element identity is the label: two contexts listing "B+" reference one
@@ -73,20 +71,21 @@ class PovmFamily:
     probes.
     """
 
-    name: str
-    elements: dict[str, PovmElement]
-    contexts: tuple[Context, ...]
+    _fields = ("name", "elements", "contexts")
 
-    def __post_init__(self):
-        for context in self.contexts:
+    def __init__(self, name: str, elements: dict[str, PovmElement], contexts: tuple[Context, ...]):
+        for context in contexts:
             if len(set(context)) != len(context):
                 raise ValueError(f"duplicate labels inside context {context!r}")
             for label in context:
-                if label not in self.elements:
+                if label not in elements:
                     raise KeyError(f"missing element: context references {label!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "contexts", contexts)
 
     def __hash__(self) -> int:
-        # The generated hash would hash the elements dict; a frozenset of its
+        # The field-wise hash would hash the elements dict; a frozenset of its
         # items agrees with ==, which compares dicts ignoring insertion order.
         return hash((self.name, frozenset(self.elements.items()), self.contexts))
 

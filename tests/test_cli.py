@@ -464,12 +464,28 @@ print(json.dumps([code, "numpy" in sys.modules]), file=sys.stderr)
 class TestStartup:
     def test_import_skips_pool_and_secrets(self):
         # The pool, secrets and numpy are imported where they are used, so a
-        # CLI start does not pay for them.
+        # CLI start does not pay for them; no module imports dataclasses.
         probe = (
             "import sys, qcontext.cli; print(sorted("
-            "{'multiprocessing', 'concurrent.futures', 'secrets', 'numpy'} & set(sys.modules)))"
+            "{'multiprocessing', 'concurrent.futures', 'secrets', 'numpy', 'dataclasses'} "
+            "& set(sys.modules)))"
         )
         assert run_probe(probe).stdout.strip() == "[]"
+
+    def test_commands_import_no_dataclasses(self):
+        # The value types are plain classes: building both families and
+        # running the numpy-free commands never imports dataclasses.
+        probe = (
+            "import sys, qcontext as q, qcontext.cli as cli\n"
+            "q.cabello_family(); q.nakamura_family()\n"
+            "codes = [cli.main([*argv.split(), '--out', '/dev/null']) for argv in "
+            "('dilate --model cabello', 'audit --model cabello', "
+            "'feasibility --model cabello', 'ks-search --model cabello')]\n"
+            "print(codes, 'dataclasses' in sys.modules)\n"
+        )
+        proc = run_probe(probe)
+        assert proc.stderr == ""
+        assert proc.stdout.strip() == "[0, 0, 3, 3] False"
 
     def test_parallel_simulation_starts_no_process(self):
         # Shards run on threads: no process pool is imported, let alone forked.

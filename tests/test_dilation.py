@@ -1,7 +1,7 @@
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -122,7 +122,7 @@ class TestSequentialDilation:
         with pytest.raises(
             ValueError, match=r"invalid scheme: B\+ slot 1 outside an ancilla of dimension 1"
         ):
-            replace(scheme, ancilla_dim=1)
+            DilationScheme(1, scheme.context_index, scheme.projectors)
         with pytest.raises(ValueError, match="invalid scheme: A\\+ slot -1"):
             DilationScheme(2, 0, (("A+", (-1, scheme.projectors[0][1][1])),))
         # Without a slot there is no ancilla state to trace out against.
@@ -135,7 +135,9 @@ class TestVerifyDilation:
         scheme = sequential_dilation(nakamura, 0)
         projectors = dict(scheme.projectors)
         projectors["A+"], projectors["B+"] = projectors["B+"], projectors["A+"]
-        swapped = replace(scheme, projectors=tuple(projectors.items()))
+        swapped = DilationScheme(
+            scheme.ancilla_dim, scheme.context_index, tuple(projectors.items())
+        )
         report = verify_dilation(swapped, nakamura, 0)
         assert report.element_residuals["A+"] > 0.1
         assert report.element_residuals["B+"] > 0.1
@@ -153,9 +155,10 @@ class TestVerifyDilation:
         # A NaN in V's last entry only: max() would drop it behind the finite
         # moduli of the first three.
         scheme = sequential_dilation(nakamura, 0)
-        broken = replace(
-            scheme,
-            projectors=tuple(
+        broken = DilationScheme(
+            scheme.ancilla_dim,
+            scheme.context_index,
+            tuple(
                 (label, (slot, v[:3] + (complex(math.nan, 0.0),)))
                 for label, (slot, v) in scheme.projectors
             ),
@@ -249,7 +252,7 @@ class TestExtensionAudit:
             pytest.param(lambda s: s[:2], "need one scheme per context", id="one-short"),
             pytest.param(lambda s: s[::-1], "scheme 1 dilates context 3", id="reversed"),
             pytest.param(
-                lambda s: [s[0], replace(s[1], ancilla_dim=3), s[2]],
+                lambda s: [s[0], DilationScheme(3, s[1].context_index, s[1].projectors), s[2]],
                 "ancilla dimension differs",
                 id="ancilla-dim",
             ),
@@ -341,9 +344,12 @@ class TestOneToOneFeasibility:
         cert = one_to_one_feasibility(nakamura)
         broken_steps = list(cert.steps)
         last = broken_steps[-1]
-        broken_steps[-1] = replace(last, premises=("step:99",) + last.premises[1:])
+        broken_steps[-1] = CertificateStep(
+            last.index, last.rule, ("step:99",) + last.premises[1:], last.conclusion
+        )
+        broken = ContradictionCertificate(cert.family, cert.element, tuple(broken_steps))
         with pytest.raises(ValueError, match="non-preceding"):
-            validate_certificate(replace(cert, steps=tuple(broken_steps)), nakamura)
+            validate_certificate(broken, nakamura)
 
     def test_certificate_serialization(self, nakamura):
         doc = one_to_one_feasibility(nakamura).to_dict()
@@ -356,13 +362,14 @@ class TestValidatorRejectsMalformed:
     def test_no_steps(self, nakamura):
         cert = one_to_one_feasibility(nakamura)
         with pytest.raises(ValueError, match="certificate has no steps"):
-            validate_certificate(replace(cert, steps=()), nakamura)
+            validate_certificate(ContradictionCertificate(cert.family, cert.element, ()), nakamura)
 
     @pytest.mark.parametrize("premise", ["step:x", "context:x", "step:", "context:-1"])
     def test_malformed_number_names_the_premise(self, nakamura, premise):
         cert = one_to_one_feasibility(nakamura)
-        first = replace(cert.steps[0], premises=(premise,))
-        broken = replace(cert, steps=(first,) + cert.steps[1:])
+        step = cert.steps[0]
+        first = CertificateStep(step.index, step.rule, (premise,), step.conclusion)
+        broken = ContradictionCertificate(cert.family, cert.element, (first,) + cert.steps[1:])
         with pytest.raises(ValueError, match=f"step 1 has malformed premise '{premise}'"):
             validate_certificate(broken, nakamura)
 
@@ -534,7 +541,7 @@ def perturbed_dilations(draw, family, context_index):
         a, b = draw(st.permutations(range(len(projectors))))[:2]
         (label_a, op_a), (label_b, op_b) = projectors[a], projectors[b]
         projectors[a], projectors[b] = (label_a, op_b), (label_b, op_a)
-    return replace(scheme, projectors=tuple(projectors))
+    return DilationScheme(scheme.ancilla_dim, scheme.context_index, tuple(projectors))
 
 
 @st.composite

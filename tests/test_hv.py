@@ -209,6 +209,7 @@ class TestSimulatePovm:
         assert one.to_json() == two.to_json()
 
     def test_pool_never_wider_than_the_shard_count(self, cabello, monkeypatch):
+        import os
         import threading
 
         from qcontext import hv
@@ -228,6 +229,18 @@ class TestSimulatePovm:
         assert len(set(ran_on)) <= 3
         assert threading.get_ident() not in ran_on
         one = simulate_povm(cabello, 2, n, 2 * SHARD_SIZE + 1, seed=5, workers=1)
+        assert wide.to_json() == one.to_json()
+
+        # Nor wider than the CPUs the process may use: 40 small shards at 64
+        # workers on 2 usable CPUs run on at most 2 threads.
+        monkeypatch.setattr(hv, "SHARD_SIZE", 1 << 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        ran_on.clear()
+        wide = simulate_povm(cabello, 2, n, 40 << 10, seed=5, workers=64)
+        assert len(ran_on) == 40
+        assert len(set(ran_on)) <= 2
+        assert threading.get_ident() not in ran_on
+        one = simulate_povm(cabello, 2, n, 40 << 10, seed=5, workers=1)
         assert wide.to_json() == one.to_json()
 
     def test_invalid_inputs(self, nakamura):
