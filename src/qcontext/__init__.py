@@ -35,10 +35,10 @@ _LAYER_NAMES = {
              "cabello_family", "check_completeness", "nakamura_family"),
     "ks": ("ColorabilityVerdict", "ContextHypergraph", "ParityObstruction",
            "enumerate_assignments", "parity_obstruction", "parse_hypergraph"),
-    "dilation": ("AuditEntry", "ConstraintGraph", "ContradictionCertificate",
-                 "DilationReport", "DilationScheme", "count_consistent_slot_assignments",
-                 "extension_audit", "one_to_one_feasibility", "sequential_dilation",
-                 "validate_certificate", "verify_dilation"),
+    "dilation": ("AuditEntry", "ContradictionCertificate", "DilationReport", "DilationScheme",
+                 "count_consistent_slot_assignments", "extension_audit",
+                 "one_to_one_feasibility", "sequential_dilation", "validate_certificate",
+                 "verify_dilation"),
     "hv": ("HiddenVariable", "SimulationReport", "bell_marginal_estimate",
            "noncontextual_value_map", "simulate_povm"),
 }

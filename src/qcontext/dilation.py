@@ -21,18 +21,18 @@ completeness holds slot by slot. Two contexts give an element the same
 extended projector exactly when they give it the same slot and the same V.
 None of it loads an array library.
 
-The one-to-one reasoner is one derivation per element over a
-``ConstraintGraph``, whose only data are the per-context completeness
-groups: it computes the element's confinements and its route (direct, or
-intersection with its eliminations), then emits every certificate step
-through one step function.
+The one-to-one reasoner is one derivation per element that reads the
+family's contexts directly, through one map from label to the contexts
+holding it: two element atoms are orthogonal when they share a context, and
+no element atom is orthogonal to another context's filler. It computes the
+element's confinements and its route (direct, or intersection with its
+eliminations), then emits every certificate step through one step function.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .bloch import ATOL, Entries
@@ -312,51 +312,6 @@ def filler_atom(context_index: int) -> str:
     return f"F{context_index + 1}"
 
 
-class ConstraintGraph(Frozen):
-    """Symbolic skeleton of the one-to-one hypothesis for a family.
-
-    One completeness group per context: its element atoms (the hypothesis:
-    a single projector serves every context of its element) plus the
-    context's filler. Everything else is derived from the groups: the
-    fillers are the zero-trace atoms (no POVM contribution), and two atoms
-    are orthogonal when they are distinct members of one group.
-    """
-
-    _fields = ("completeness_groups",)
-
-    def __init__(self, completeness_groups: tuple[tuple[str, ...], ...]):
-        object.__setattr__(self, "completeness_groups", completeness_groups)
-
-    @classmethod
-    def from_family(cls, family: PovmFamily) -> "ConstraintGraph":
-        return cls(
-            tuple(
-                tuple(element_atom(label) for label in context) + (filler_atom(i),)
-                for i, context in enumerate(family.contexts)
-            )
-        )
-
-    @property
-    def zero_trace(self) -> frozenset[str]:
-        return frozenset(filler_atom(i) for i in range(len(self.completeness_groups)))
-
-    @cached_property
-    def _groups_of(self) -> dict[str, set[int]]:
-        """The indices of the groups each atom is in, built once per graph."""
-        groups: dict[str, set[int]] = {}
-        for i, group in enumerate(self.completeness_groups):
-            for atom in group:
-                groups.setdefault(atom, set()).add(i)
-        return groups
-
-    def shared_context(self, a: str, b: str) -> int | None:
-        """The first group holding both atoms, or None."""
-        return min(self._groups_of.get(a, set()) & self._groups_of.get(b, set()), default=None)
-
-    def orthogonal(self, a: str, b: str) -> bool:
-        return a != b and self.shared_context(a, b) is not None
-
-
 class CertificateStep(Frozen):
     __slots__ = _fields = ("index", "rule", "premises", "conclusion")
 
@@ -395,44 +350,44 @@ class ContradictionCertificate(Frozen):
 
 
 def _contradiction_for(
-    graph: ConstraintGraph, family: PovmFamily, label: str
+    family: PovmFamily, label: str, contexts_of: dict[str, set[int]]
 ) -> ContradictionCertificate | None:
     atom = element_atom(label)
-    groups = graph.completeness_groups
-    zero_trace = graph.zero_trace
+    own = contexts_of[label]
 
-    # Each context without the atom confines it in the members it is not
-    # orthogonal to, when that drops at least one member.
+    def members(c: int, labels: Iterable[str]) -> list[str]:
+        return [*map(element_atom, labels), filler_atom(c)]
+
+    # A context without the element confines its atom in its filler and the
+    # members sharing no context with it, when that drops at least one member.
     confinements = []
-    for c, group in enumerate(groups):
-        if atom not in group:
-            remainder = tuple(x for x in group if not graph.orthogonal(atom, x))
-            if len(remainder) < len(group):
-                confinements.append((c, remainder))
+    for c, context in enumerate(family.contexts):
+        if c not in own:
+            kept = tuple(x for x in context if not contexts_of[x] & own)
+            if len(kept) < len(context):
+                confinements.append((c, kept))
 
     # The route: the confinements the proof cites, the final span and the
     # blockers it eliminates, each with the contexts that justify it.
     eliminations: dict[str, list[int]] = {}
-    direct = next(((c, rem) for c, rem in confinements if set(rem) <= zero_trace), None)
+    direct = next(((c, kept) for c, kept in confinements if not kept), None)
     if direct is not None:
-        # Direct route: some context's remainder is already all zero-trace.
-        cited, within = [direct], direct[1]
+        # Direct route: some context confines the atom in its filler alone.
+        cited, within = [direct], [filler_atom(direct[0])]
     elif len(confinements) >= 2:
-        # Intersection route: eliminate every non-filler atom that is
-        # orthogonal to the whole non-filler part of a confinement it does
-        # not appear in.
-        union = sorted({x for _, rem in confinements for x in rem})
-        for q in union:
-            if q in zero_trace:
-                continue
-            for _, remainder in confinements:
-                others = [x for x in remainder if x not in zero_trace]
-                if q not in remainder and all(graph.orthogonal(q, x) for x in others):
-                    eliminations[q] = sorted({graph.shared_context(q, x) for x in others})
+        # Intersection route: eliminate every kept member that shares a context
+        # with each member kept by a confinement it is absent from, by the least
+        # such context. Atom order ("P[A+]" < "P[A]") numbers the steps it adds.
+        blockers = {x for _, kept in confinements for x in kept}
+        for q in sorted(blockers, key=element_atom):
+            for _, kept in confinements:
+                shared = [contexts_of[q] & contexts_of[x] for x in kept]
+                if q not in kept and all(shared):
+                    eliminations[q] = sorted({min(s) for s in shared})
                     break
-        cited, within = confinements, tuple(x for x in union if x not in eliminations)
-        if not set(within) <= zero_trace:
-            return None
+            else:
+                return None
+        cited, within = confinements, sorted(filler_atom(c) for c, _ in confinements)
     else:
         return None
 
@@ -445,26 +400,25 @@ def _contradiction_for(
 
     def orthogonality(c: int) -> int:
         if c not in context_steps:
-            members = ", ".join(groups[c])
+            listed = ", ".join(members(c, family.contexts[c]))
             context_steps[c] = step(
                 RULE_ORTHOGONALITY,
                 [f"context:{c + 1}"],
-                f"members of context {c + 1} are mutually orthogonal: {members}",
+                f"members of context {c + 1} are mutually orthogonal: {listed}",
             )
         return context_steps[c]
 
     def confinement(premises: list[str], span: Sequence[str], reason: str) -> int:
         return step(RULE_CONFINEMENT, premises, f"{atom} confined in {' + '.join(span)} ({reason})")
 
-    base = [f"step:{orthogonality(c)}" for c, group in enumerate(groups) if atom in group]
+    base = [f"step:{orthogonality(c)}" for c in sorted(own)]
     confined = [
-        confinement([f"context:{c + 1}", *base], remainder, f"completeness of context {c + 1}")
-        for c, remainder in cited
+        confinement([f"context:{c + 1}", *base], members(c, kept), f"completeness of context {c + 1}")
+        for c, kept in cited
     ]
     final = confined[-1]
     if eliminations:
-        # Only the intersection route eliminates, and it always must: each of
-        # its confinements holds a non-filler atom.
+        # Only the intersection route eliminates; each of its confinements keeps a member.
         justified = sorted({orthogonality(c) for cs in eliminations.values() for c in cs})
         final = confinement(
             [f"step:{i}" for i in confined + justified], within, "intersection of the confinements"
@@ -482,11 +436,11 @@ def _contradiction_for(
 def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | None:
     """Test the hypothesis that every element keeps one extended projector.
 
-    Builds the symbolic constraint graph (one completeness group per
-    context: its element atoms plus a zero-trace filler; members of a group
-    are mutually orthogonal) and runs one derivation per element, in label
-    order; returns the first contradiction certificate, or None when the
-    hypothesis survives (feasible).
+    Reads the family's contexts directly: each is completed by its element
+    atoms plus a zero-contribution filler, and two atoms are orthogonal when
+    they share a context. Runs one derivation per element, in label order;
+    returns the first contradiction certificate, or None when the hypothesis
+    survives (feasible).
 
     The derivation confines the element's atom in every context it is not
     in, then takes one of two routes. Direct: one confinement is already all
@@ -506,9 +460,12 @@ def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | Non
     atom's range. That holds only when every filler is 0 (a tight dilation):
     another context's filler need not be orthogonal to the blocker.
     """
-    graph = ConstraintGraph.from_family(family)
+    contexts_of: dict[str, set[int]] = {label: set() for label in family.elements}
+    for c, context in enumerate(family.contexts):
+        for label in context:
+            contexts_of[label].add(c)
     for label in sorted(family.elements):
-        certificate = _contradiction_for(graph, family, label)
+        certificate = _contradiction_for(family, label, contexts_of)
         if certificate is not None:
             return certificate
     return None
@@ -518,11 +475,14 @@ _PREMISE_KINDS = ("step", "context", "zero-trace", "element")
 
 
 def validate_certificate(cert: ContradictionCertificate, family: PovmFamily) -> None:
-    """Raise ValueError unless the deduction chain is well formed.
+    """Raise ValueError unless the deduction chain is well formed for ``family``.
 
-    Every premise must be an earlier step or a declared input fact, and the
-    final step must name an element with positive weight.
+    The certificate must name the family, every premise must be an earlier
+    step or a declared input fact, and the final step must name an element
+    with positive weight.
     """
+    if cert.family != family.name:
+        raise ValueError(f"certificate is for family {cert.family!r}, not {family.name!r}")
     if not cert.steps:
         raise ValueError("certificate has no steps")
     known_rules = {RULE_ORTHOGONALITY, RULE_CONFINEMENT, RULE_ZERO_TRACE}

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import string
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from qcontext import (
     DilationScheme,
     PovmElement,
     cabello_family,
+    check_completeness,
     count_consistent_slot_assignments,
     extension_audit,
     nakamura_family,
@@ -29,7 +32,6 @@ from qcontext.dilation import (
     RULE_ORTHOGONALITY,
     RULE_ZERO_TRACE,
     CertificateStep,
-    ConstraintGraph,
     ContradictionCertificate,
     element_atom,
     filler_atom,
@@ -332,14 +334,6 @@ class TestOneToOneFeasibility:
         )
         assert one_to_one_feasibility(disjoint) is None
 
-    def test_graph_inputs(self, nakamura):
-        graph = ConstraintGraph.from_family(nakamura)
-        assert graph.zero_trace == frozenset({"F1", "F2", "F3"})
-        assert graph.orthogonal("P[A+]", "P[B-]")
-        # A's pair never shares a context with the third filler.
-        assert not graph.orthogonal("P[A+]", "F3")
-        assert len(graph.completeness_groups) == 3
-
     def test_validator_rejects_tampering(self, nakamura):
         cert = one_to_one_feasibility(nakamura)
         broken_steps = list(cert.steps)
@@ -359,6 +353,14 @@ class TestOneToOneFeasibility:
 
 
 class TestValidatorRejectsMalformed:
+    def test_another_familys_certificate(self, nakamura, cabello):
+        cert = one_to_one_feasibility(nakamura)
+        with pytest.raises(ValueError, match="certificate is for family 'nakamura', not 'cabello'"):
+            validate_certificate(cert, cabello)
+        # A restriction carries its own name, so its certificate validates.
+        restricted = cabello.restrict([4, 3, 2, 1, 0])
+        validate_certificate(one_to_one_feasibility(restricted), restricted)
+
     def test_no_steps(self, nakamura):
         cert = one_to_one_feasibility(nakamura)
         with pytest.raises(ValueError, match="certificate has no steps"):
@@ -694,7 +696,7 @@ class TestElementOperators:
                 assert getattr(fresh, name) is entries
 
 
-# --- the one-to-one reasoner as first written: a ConstraintGraph with a second
+# --- the one-to-one reasoner as first written: a constraint graph with a second
 # copy of its groups as orthogonal pairs, and a certificate builder with two
 # confinement emitters. one_to_one_feasibility must give the same certificate.
 
@@ -961,13 +963,6 @@ class TestReasonerMatchesReference:
         cert = _same_certificate(family)
         if cert is not None:
             validate_certificate(cert, family)
-        graph = ConstraintGraph.from_family(family)
-        reference = _ReferenceConstraintGraph.from_family(family)
-        assert graph.completeness_groups == reference.completeness_groups
-        assert graph.zero_trace == reference.zero_trace
-        for a, b in itertools.product(reference.atoms, repeat=2):
-            assert graph.orthogonal(a, b) == reference.orthogonal(a, b)
-            assert graph.shared_context(a, b) == reference.shared_context(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(thinned_cabello_families())
@@ -975,3 +970,85 @@ class TestReasonerMatchesReference:
         cert = _same_certificate(family)
         if cert is not None:
             validate_certificate(cert, family)
+
+    def test_eleven_contexts_order_fillers_as_strings(self, cabello):
+        # Cabello's contexts 1-3, six pair contexts that share nothing with
+        # them, then cabello's contexts 4-5: the final span lists the cited
+        # fillers in string order (F10 before F3), and the blockers go in the
+        # order of their atom strings.
+        x_axis = BlochVector(1.0, 0.0, 0.0)
+        minus_x = BlochVector(-1.0, 0.0, 0.0)
+        elements = dict(cabello.elements)
+        pairs = []
+        for k in range(6):
+            elements[f"X{k}+"] = PovmElement(f"X{k}+", Fraction(1), x_axis)
+            elements[f"X{k}-"] = PovmElement(f"X{k}-", Fraction(1), minus_x)
+            pairs.append((f"X{k}+", f"X{k}-"))
+        contexts = (*cabello.contexts[:3], *pairs, *cabello.contexts[3:])
+        family = PovmFamily(name="eleven", elements=elements, contexts=contexts)
+        cert = _same_certificate(family)
+        validate_certificate(cert, family)
+        confinements = [s for s in cert.steps if s.rule == RULE_CONFINEMENT]
+        assert confinements[-1].conclusion == (
+            "P[A+] confined in F10 + F11 + F3 (intersection of the confinements)"
+        )
+
+
+# --- regular-graph families: the vertices of a d-regular graph are the
+# contexts and its edges the letters, one antipodal pair of weight 1/d per
+# edge. P(v) + P(-v) = I, so every context sums to I whatever the directions;
+# these come from a Fibonacci spiral over the upper hemisphere, so no two are
+# equal or antipodal. Nakamura's incidence is K3 and cabello's is K5.
+
+
+def _graph_family(name: str, edges) -> PovmFamily:
+    degree = Counter(v for edge in edges for v in edge)
+    (d,) = set(degree.values())
+    golden_angle = math.pi * (3 - math.sqrt(5))
+    elements = {}
+    incident = {v: [] for v in sorted(degree)}
+    for i, (edge, letter) in enumerate(zip(edges, string.ascii_uppercase)):
+        z = 1 - (i + 0.5) / len(edges)
+        r = math.sqrt(1 - z * z)
+        v = BlochVector.normalized(r * math.cos(i * golden_angle), r * math.sin(i * golden_angle), z)
+        elements[f"{letter}+"] = PovmElement(f"{letter}+", Fraction(1, d), v)
+        elements[f"{letter}-"] = PovmElement(f"{letter}-", Fraction(1, d), BlochVector(-v.x, -v.y, -v.z))
+        for vertex in edge:
+            incident[vertex] += [f"{letter}+", f"{letter}-"]
+    return PovmFamily(name=name, elements=elements, contexts=tuple(map(tuple, incident.values())))
+
+
+_PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+#: name: (edges, KS valid_count, consistent slot maps, final confinement or None).
+REGULAR_GRAPHS = {
+    "K3": (list(itertools.combinations(range(3), 2)), 0, 0,
+           "P[A+] confined in F3 (completeness of context 3)"),
+    "K4": (list(itertools.combinations(range(4), 2)), 12, 6, None),
+    "K5": (list(itertools.combinations(range(5), 2)), 0, 0,
+           "P[A+] confined in F3 + F4 + F5 (intersection of the confinements)"),
+    "K3,3": ([(a, b) for a in range(3) for b in range(3, 6)], 48, 12, None),
+    "Q3": ([(i, i ^ bit) for i in range(8) for bit in (1, 2, 4) if i < i ^ bit], 144, 24, None),
+    "Petersen": (_PETERSEN, 192, 0, None),
+}
+
+
+class TestRegularGraphFamilies:
+    @pytest.mark.parametrize("name", list(REGULAR_GRAPHS))
+    def test_counts_and_verdict(self, name):
+        edges, valid_count, slot_maps, final = REGULAR_GRAPHS[name]
+        family = _graph_family(name, edges)
+        assert all(check_completeness(c, family) <= ATOL for c in family.contexts)
+        hypergraph = ks.ContextHypergraph.from_contexts(family.contexts)
+        assert ks.enumerate_assignments(hypergraph).valid_count == valid_count
+        assert count_consistent_slot_assignments(family) == slot_maps
+        cert = _same_certificate(family)
+        if final is None:
+            assert cert is None
+        else:
+            validate_certificate(cert, family)
+            assert [s for s in cert.steps if s.rule == RULE_CONFINEMENT][-1].conclusion == final

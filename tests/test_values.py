@@ -1,4 +1,4 @@
-"""Value semantics of the fourteen value types, one built-in instance each.
+"""Value semantics of the thirteen value types, one built-in instance each.
 
 Every type compares, hashes, shows and pickles by its fields in declaration
 order, as a frozen dataclass does: equal to a fresh construction from the
@@ -24,7 +24,6 @@ from qcontext import (
     simulate_povm,
     verify_dilation,
 )
-from qcontext.dilation import ConstraintGraph
 
 Z = BlochVector(0.0, 0.0, 1.0)
 
@@ -74,11 +73,6 @@ VALUES = {
     "AuditEntry": (
         lambda: extension_audit(nakamura_family(), _schemes())[-1],
         ("label", "context_indices", "equal", "max_difference"),
-        True,
-    ),
-    "ConstraintGraph": (
-        lambda: ConstraintGraph.from_family(nakamura_family()),
-        ("completeness_groups",),
         True,
     ),
     "CertificateStep": (
