@@ -1,8 +1,10 @@
 """Bloch-sphere geometry: unit vectors, qubit operators, and the two vertex solids.
 
 Each solid is a map from signed element label ("A+", "A-", ...) to unit
-direction, the form the families are built from; the dodecahedron's letters
-come from its inscribed cubes and the ``tables`` cabello rows.
+direction, the form the families are built from. Both are built from a table
+of "+" vertices, each "-" vertex the antipode; the dodecahedron's table
+carries Cabello's letters, so that its inscribed cubes are the ``tables``
+cabello rows.
 
 The geometry is plain Python over float tuples, and a qubit operator's one
 form is its four complex entries: ``projector_entries``,
@@ -12,10 +14,9 @@ module loads no numpy; only ``hv`` imports it.
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .tables import CABELLO_CONTEXT_LETTERS, Frozen
+from .tables import Frozen
 
 #: Tolerance for closed-form algebraic identities in double precision.
 ATOL = 1e-12
@@ -116,85 +117,43 @@ def is_density_operator(entries: Entries) -> bool:
     )
 
 
-def _gram(coords: list[tuple[float, float, float]]) -> list[list[float]]:
-    """Every pairwise dot product of the points, as rows."""
-    return [[x * u + y * v + z * w for u, v, w in coords] for x, y, z in coords]
+#: The dodecahedron's "+" vertex of each of Cabello's letters, in units of
+#: 1/sqrt(3); the structure tests check the letters against a cube search.
+_DODECAHEDRON_PLUS = {
+    "A": (GOLDEN_RATIO, 0.0, 1 / GOLDEN_RATIO),
+    "B": (GOLDEN_RATIO, 0.0, -1 / GOLDEN_RATIO),
+    "C": (1, 1, -1),
+    "D": (0.0, 1 / GOLDEN_RATIO, -GOLDEN_RATIO),
+    "E": (1, -1, 1),
+    "F": (1, 1, 1),
+    "G": (1, -1, -1),
+    "H": (1 / GOLDEN_RATIO, GOLDEN_RATIO, 0.0),
+    "I": (0.0, 1 / GOLDEN_RATIO, GOLDEN_RATIO),
+    "J": (1 / GOLDEN_RATIO, -GOLDEN_RATIO, 0.0),
+}
 
 
-def _antipodal_pairs(dots: list[list[float]]) -> list[tuple[int, int]]:
-    pairs = []
-    for i, row in enumerate(dots):
-        opposite = [j for j, d in enumerate(row) if abs(d + 1.0) <= ATOL]
-        if len(opposite) != 1:
-            raise ValueError("structure not found: vertex without a unique antipode")
-        if i < opposite[0]:
-            pairs.append((i, opposite[0]))
-    return pairs
-
-
-def _find_cubes(dots: list[list[float]]) -> list[tuple[int, ...]]:
-    """Locate the 8-vertex inscribed cubes of a unit-sphere vertex cloud, given
-    its Gram matrix.
-
-    A cube vertex sees its three edge neighbours at dot 1/3 and those
-    neighbours see each other at dot -1/3; together with the four antipodes
-    this fixes the whole cube.
-    """
-    # A vertex's antipode is the first index of its row's minimum (argmin's rule).
-    anti = [row.index(min(row)) for row in dots]
-    cubes: set[tuple[int, ...]] = set()
-    for i, row in enumerate(dots):
-        neighbours = [j for j, d in enumerate(row) if abs(d - 1 / 3) <= ATOL]
-        for triple in itertools.combinations(neighbours, 3):
-            if all(abs(dots[a][b] + 1 / 3) <= ATOL for a, b in itertools.combinations(triple, 2)):
-                members = set()
-                for j in (i, *triple):
-                    members.update((j, anti[j]))
-                if len(members) == 8:
-                    cubes.add(tuple(sorted(members)))
-    return sorted(cubes)
+def _antipodal_solid(plus: dict[str, tuple], scale: float) -> dict[str, BlochVector]:
+    """Each letter's "+" vertex divided by ``scale`` and its antipode as the
+    "-" vertex, by signed label in the letters' order: A+, A-, B+, ...."""
+    vertices = {}
+    for letter, point in plus.items():
+        x, y, z = (c / scale for c in point)
+        vertices[f"{letter}+"] = BlochVector(x, y, z)
+        # 0.0 - c mirrors a zero as 0.0, not -0.0.
+        vertices[f"{letter}-"] = BlochVector(0.0 - x, 0.0 - y, 0.0 - z)
+    return vertices
 
 
 def dodecahedron_vertices() -> dict[str, BlochVector]:
     """The regular dodecahedron's twenty unit vertices by signed label, A+ to J-.
 
-    Coordinates are the standard convention (+-1,+-1,+-1)/sqrt(3) together
-    with cyclic permutations of (0, +-1/phi, +-phi)/sqrt(3). Each antipodal
-    pair lies in exactly two of the five inscribed cubes and takes the letter
-    that the ``tables`` cabello rows of those two cubes share, so cube k
-    realizes row k of the five-measurement listing; within a pair the
-    lexicographically larger coordinate triple is the "+" vertex.
+    The "+" vertices are a fixed table: cube corners (+-1,+-1,+-1)/sqrt(3) and
+    cyclic permutations of (0, +-1/phi, +-phi)/sqrt(3), each "-" vertex its
+    antipode. The letters are Cabello's: each pair lies in two of the five
+    inscribed cubes, and cube k holds the letters of ``tables`` cabello row k.
     """
-    phi = GOLDEN_RATIO
-    raw = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            base = (0.0, s1 / phi, s2 * phi)
-            for k in range(3):
-                raw.append((base[k % 3], base[(k + 1) % 3], base[(k + 2) % 3]))
-    coords = [tuple(c / math.sqrt(3) for c in point) for point in sorted(raw)]
-
-    dots = _gram(coords)
-    pairs = _antipodal_pairs(dots)
-    cubes = _find_cubes(dots)
-    incidence = [sum(i in cube for cube in cubes) for i in range(len(coords))]
-    if len(cubes) != 5 or set(incidence) != {2}:
-        raise ValueError("structure not found: dodecahedron cube search failed")
-
-    # Each letter sits in exactly two rows of the published listing; a pair
-    # takes the letter of the two rows whose cubes hold it.
-    letter_of_rows = {
-        frozenset(k for k, row in enumerate(CABELLO_CONTEXT_LETTERS) if letter in row): letter
-        for letter in set("".join(CABELLO_CONTEXT_LETTERS))
-    }
-    directions = {}
-    for i, j in pairs:
-        letter = letter_of_rows[frozenset(k for k, cube in enumerate(cubes) if i in cube)]
-        plus, minus = (i, j) if coords[i] > coords[j] else (j, i)
-        directions[f"{letter}+"] = BlochVector(*coords[plus])
-        directions[f"{letter}-"] = BlochVector(*coords[minus])
-    # "+" sorts before "-", so the labels run A+, A-, B+, ...
-    return dict(sorted(directions.items()))
+    return _antipodal_solid(_DODECAHEDRON_PLUS, math.sqrt(3))
 
 
 def hexagon_vertices() -> dict[str, BlochVector]:
@@ -206,11 +165,5 @@ def hexagon_vertices() -> dict[str, BlochVector]:
     +-sqrt(3)/2).
     """
     half_root3 = math.sqrt(3) / 2
-    return {
-        "A+": BlochVector(0.0, 0.0, 1.0),
-        "A-": BlochVector(0.0, 0.0, -1.0),
-        "B+": BlochVector(half_root3, 0.0, 0.5),
-        "B-": BlochVector(-half_root3, 0.0, -0.5),
-        "C+": BlochVector(half_root3, 0.0, -0.5),
-        "C-": BlochVector(-half_root3, 0.0, 0.5),
-    }
+    plus = {"A": (0.0, 0.0, 1.0), "B": (half_root3, 0.0, 0.5), "C": (half_root3, 0.0, -0.5)}
+    return _antipodal_solid(plus, 1.0)

@@ -9,7 +9,7 @@ no slot assignment can serve both families. Its certificate against any
 one-to-one projector correspondence is narrower: nakamura's direct route
 holds when each context is completed by a zero-contribution filler F_c, but
 the intersection step of cabello's holds only for tight dilations, where
-every F_c = 0.
+every F_c = 0, and cites that as its premise ``hypothesis:tight``.
 
 A sequential dilation's extended projectors are all |k><k| (x) V: one ancilla
 slot k and one qubit projector V. A scheme keeps each as its (slot, V) pair,
@@ -418,11 +418,11 @@ def _contradiction_for(
     ]
     final = confined[-1]
     if eliminations:
-        # Only the intersection route eliminates; each of its confinements keeps a member.
+        # Only the intersection route eliminates; each of its confinements keeps a
+        # member. Its step holds only in a tight dilation, and cites that premise.
         justified = sorted({orthogonality(c) for cs in eliminations.values() for c in cs})
-        final = confinement(
-            [f"step:{i}" for i in confined + justified], within, "intersection of the confinements"
-        )
+        premises = [*(f"step:{i}" for i in confined + justified), "hypothesis:tight"]
+        final = confinement(premises, within, "intersection of the confinements")
     step(
         RULE_ZERO_TRACE,
         [f"step:{final}", *(f"zero-trace:{f}" for f in within), f"element:{label}"],
@@ -458,7 +458,8 @@ def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | Non
     step follows the source argument: a non-filler blocker orthogonal to the
     whole non-filler part of a confinement it is absent from cannot carry the
     atom's range. That holds only when every filler is 0 (a tight dilation):
-    another context's filler need not be orthogonal to the blocker.
+    another context's filler need not be orthogonal to the blocker. So the
+    intersection step cites the premise ``hypothesis:tight``.
     """
     contexts_of: dict[str, set[int]] = {label: set() for label in family.elements}
     for c, context in enumerate(family.contexts):
@@ -471,15 +472,15 @@ def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | Non
     return None
 
 
-_PREMISE_KINDS = ("step", "context", "zero-trace", "element")
+_PREMISE_KINDS = ("step", "context", "zero-trace", "element", "hypothesis")
 
 
 def validate_certificate(cert: ContradictionCertificate, family: PovmFamily) -> None:
     """Raise ValueError unless the deduction chain is well formed for ``family``.
 
     The certificate must name the family, every premise must be an earlier
-    step or a declared input fact, and the final step must name an element
-    with positive weight.
+    step, a declared input fact or the hypothesis ``tight``, and the final
+    step must name the certificate's element, of positive weight.
     """
     if cert.family != family.name:
         raise ValueError(f"certificate is for family {cert.family!r}, not {family.name!r}")
@@ -507,9 +508,13 @@ def validate_certificate(cert: ContradictionCertificate, family: PovmFamily) -> 
                 raise ValueError(f"unknown filler premise {premise!r}")
             if kind == "element" and value not in family.elements:
                 raise ValueError(f"unknown element premise {premise!r}")
+            if kind == "hypothesis" and value != "tight":
+                raise ValueError(f"unknown hypothesis premise {premise!r}")
     final = cert.steps[-1]
     if final.rule != RULE_ZERO_TRACE:
         raise ValueError("final step must propagate zero trace")
     named = [p.split(":", 1)[1] for p in final.premises if p.startswith("element:")]
     if not named or family.elements[named[0]].weight <= 0:
         raise ValueError("final step must name an element of positive weight")
+    if named[0] != cert.element:
+        raise ValueError(f"certificate names element {cert.element!r}, its final step {named[0]!r}")

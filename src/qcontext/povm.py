@@ -58,9 +58,16 @@ class PovmElement(Frozen):
     @cached_property
     def entries(self) -> Entries:
         """Row-major entries of weight * (I + v.sigma)/2."""
-        # A complex weight, as in projector_entries: numpy's complex product.
-        weight = complex(float(self.weight))
-        return tuple(weight * entry for entry in self.projector_entries)
+        weight = float(self.weight)
+        return tuple(_scaled(weight, entry) for entry in self.projector_entries)
+
+
+def _scaled(w: float, z: complex) -> complex:
+    """w * z with numpy's bits for a float times a complex array: a part keeps
+    its sign when w * part underflows to zero, and only a zero part adds the
+    cross term of the full complex product."""
+    a, b = z.real, z.imag
+    return complex(w * a if a else w * a - 0.0 * b, w * b if b else w * b + 0.0 * a)
 
 
 class PovmFamily(Frozen):
@@ -211,8 +218,8 @@ class PovmFamily(Frozen):
         except KeyError as exc:  # a context names a label no element has
             raise ValueError(exc.args[0]) from exc
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PovmFamily":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcontext import BlochVector, bloch, dodecahedron_vertices, hexagon_vertices
+from qcontext import BlochVector, dodecahedron_vertices, hexagon_vertices
 from qcontext.bloch import hermitian_min_eigenvalue, is_density_operator, projector_entries
 
 from conftest import reference_projector, signed_axes
@@ -212,35 +212,6 @@ class TestDodecahedron:
             if _dot_signature(directions) == CUBE_SIGNATURE:
                 found.add(frozenset(labels))
         assert found == {frozenset(context) for context in cabello.contexts}
-
-    def test_cube_letters_match_context_rows(self):
-        # Pair letters are defined through cube membership, so cube k of the
-        # search (run on the vertices in coordinate order) must carry exactly
-        # the letters of measurement row k.
-        from qcontext.tables import CABELLO_CONTEXT_LETTERS
-
-        by_coords = sorted((v.x, v.y, v.z, label) for label, v in dodecahedron_vertices().items())
-        labels = [label for *_, label in by_coords]
-        cubes = bloch._find_cubes(bloch._gram([point[:3] for point in by_coords]))
-        assert len(cubes) == len(CABELLO_CONTEXT_LETTERS)
-        for cube, row in zip(cubes, CABELLO_CONTEXT_LETTERS):
-            assert {labels[i][:-1] for i in cube} == set(row)
-
-    def test_structure_error_on_wrong_input(self, monkeypatch):
-        # With a wrong ratio the points are no dodecahedron's.
-        monkeypatch.setattr(bloch, "GOLDEN_RATIO", 1.6)
-        with pytest.raises(ValueError, match="structure not found"):
-            dodecahedron_vertices()
-
-    @pytest.mark.parametrize(
-        "damage", [lambda cubes: cubes[:4], lambda cubes: cubes[:4] + cubes[:1]],
-        ids=["four-cubes", "repeated-cube"],
-    )
-    def test_cube_guard(self, monkeypatch, damage):
-        find_cubes = bloch._find_cubes
-        monkeypatch.setattr(bloch, "_find_cubes", lambda dots: damage(find_cubes(dots)))
-        with pytest.raises(ValueError, match="structure not found"):
-            dodecahedron_vertices()
 
 
 class TestHexagon:

@@ -307,6 +307,8 @@ class TestOneToOneFeasibility:
         assert final.rule == RULE_ZERO_TRACE
         assert "zero-trace:F3" in final.premises
         assert "element:A+" in final.premises
+        # The direct route holds with fillers, so it cites no hypothesis.
+        assert not any(p.startswith("hypothesis:") for s in cert.steps for p in s.premises)
 
     def test_cabello_certificate(self, cabello):
         cert = one_to_one_feasibility(cabello)
@@ -320,6 +322,9 @@ class TestOneToOneFeasibility:
         assert any("P[B+] + P[B-] + P[F+] + P[F-] + F3" in t for t in texts)
         assert any("P[B+] + P[B-] + P[E+] + P[E-] + F4" in t for t in texts)
         assert any("P[E+] + P[E-] + P[F+] + P[F-] + F5" in t for t in texts)
+        # The intersection step holds only in a tight dilation, and says so.
+        cited = [s.index for s in cert.steps if "hypothesis:tight" in s.premises]
+        assert cited == [confinements[-1].index]
         final = cert.steps[-1]
         assert {"zero-trace:F3", "zero-trace:F4", "zero-trace:F5"} <= set(final.premises)
 
@@ -365,6 +370,23 @@ class TestValidatorRejectsMalformed:
         cert = one_to_one_feasibility(nakamura)
         with pytest.raises(ValueError, match="certificate has no steps"):
             validate_certificate(ContradictionCertificate(cert.family, cert.element, ()), nakamura)
+
+    def test_relabelled_element(self, nakamura):
+        # Every step is about P[A+]; the certificate must not claim C-.
+        cert = one_to_one_feasibility(nakamura)
+        relabelled = ContradictionCertificate(cert.family, "C-", cert.steps)
+        with pytest.raises(ValueError, match=r"certificate names element 'C-', its final step 'A\+'"):
+            validate_certificate(relabelled, nakamura)
+
+    @pytest.mark.parametrize("premise", ["hypothesis:fillers", "hypothesis:"])
+    def test_unknown_hypothesis(self, cabello, premise):
+        cert = one_to_one_feasibility(cabello)
+        step = cert.steps[-2]
+        premises = tuple(premise if p == "hypothesis:tight" else p for p in step.premises)
+        steps = (*cert.steps[:-2], CertificateStep(step.index, step.rule, premises, step.conclusion))
+        broken = ContradictionCertificate(cert.family, cert.element, (*steps, cert.steps[-1]))
+        with pytest.raises(ValueError, match=f"unknown hypothesis premise '{premise}'"):
+            validate_certificate(broken, cabello)
 
     @pytest.mark.parametrize("premise", ["step:x", "context:x", "step:", "context:-1"])
     def test_malformed_number_names_the_premise(self, nakamura, premise):
@@ -783,6 +805,7 @@ class _ReferenceCertificateBuilder:
         span = " + ".join(within)
         premises = [f"step:{i}" for i in conf_steps]
         premises += [f"step:{i}" for i in orthogonality_steps]
+        premises.append("hypothesis:tight")
         return self._append(
             RULE_CONFINEMENT,
             premises,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcontext import (
     BlochVector,
@@ -213,6 +213,8 @@ class TestElementEntries:
         ),
         st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda w: w > 0),
     )
+    # Half of sigma_y's subnormal entry underflows: numpy keeps the sign, -0.0.
+    @example(BlochVector(0.0, 1e-323, 1.0), Fraction(1, 2))
     def test_entries_and_operator_carry_numpy_bits(self, direction, weight):
         element = PovmElement("X+", weight, direction)
         expected = reference_operator(element)
