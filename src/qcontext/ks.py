@@ -4,9 +4,11 @@ An assignment is valid when every context contains exactly one element valued
 1, so the 1-valued elements of a valid assignment are an exact cover of the
 contexts. Both deciders live here: an exact-cover search (Knuth's Algorithm
 X; its only state is the mask of covered contexts, which fixes the blocked
-elements) that counts the valid assignments and finds the least one, and the
-counting (parity) obstruction that explains why the two measurement families
-admit none. The same search counts the consistent slot maps that
+elements) that counts the valid assignments and finds the least one in one
+depth-first pass over a stack of frames, looking each child up in the memo
+once and counting the nodes it expands, and the counting (parity)
+obstruction that explains why the two measurement families admit none. The
+same search counts the consistent slot maps that
 dilation.count_consistent_slot_assignments reduces to a hypergraph.
 """
 
@@ -97,76 +99,92 @@ class ColorabilityVerdict(Frozen):
         }
 
 
+def _parity_rule(context_count: int, free: int, incidences) -> ParityObstruction | None:
+    """The counting obstruction, given the context count, the number of
+    elements in no context and the incidence of every other element."""
+    if context_count % 2 == 0 or free or any(k != 2 for k in incidences):
+        return None
+    return ParityObstruction(context_count=context_count, incidence_multiplicity=2)
+
+
 def parity_obstruction(h: ContextHypergraph) -> ParityObstruction | None:
     """The counting obstruction, or None when it does not apply."""
-    if not h.contexts or len(h.contexts) % 2 == 0:
-        return None
     incidences = Counter(label for context in h.contexts for label in context)
-    if any(incidences[label] != 2 for label in h.elements):
-        return None
-    return ParityObstruction(context_count=len(h.contexts), incidence_multiplicity=2)
+    return _parity_rule(len(h.contexts), len(h.elements) - len(incidences), incidences.values())
 
 
-def _exact_covers(masks: list[int], holders: dict[int, int]) -> tuple[int, int | None]:
-    """(number of exact covers, least cover or None) of the context bitmasks.
+def _exact_covers(masks: list[int], holders: dict[int, int]) -> tuple[int, int | None, int]:
+    """(number of exact covers, least cover or None, nodes) of the masks.
 
     ``masks[i]`` has one bit per element of context i; ``holders`` maps an
     element bit to the mask of the contexts holding it. This is Knuth's
     Algorithm X whose one piece of state, memoised, is the mask of covered
     contexts: a node blocks the elements of its covered contexts and branches
-    on the uncovered context with the fewest elements not blocked. An explicit
-    stack keeps the depth (one level per context) off the recursion limit.
-    Every cover holds one element of the branching context, so counts add
-    over those elements, and the least cover is the least of element | least
-    cover of what is left. Raises ValueError after SEARCH_LIMIT nodes.
+    on the uncovered context with the fewest elements not blocked. Every
+    cover holds one element of the branching context, so counts add over
+    those elements, and the least cover is the least of element | least
+    cover of what is left.
+
+    One depth-first pass over an explicit stack of frames [covered, untried
+    elements, element in progress, count, least] keeps the depth (one level
+    per context) off the recursion limit. Each child is looked up in the memo
+    once, when reached: a memoised child folds into its frame, an unseen one
+    is expanded (a node) as a new frame, and an exhausted frame is memoised
+    and folds into its parent. Raises ValueError after SEARCH_LIMIT nodes.
     """
-    memo = {(1 << len(masks)) - 1: (1, 0)}
-    branches: dict[int, int] = {}  # expanded, unfinished node -> its branch
-    nodes = 0
-    stack = [0]  # covered contexts
-    while stack:
-        covered = stack[-1]
-        if covered in memo:
-            stack.pop()
-        elif covered not in branches:
-            nodes += 1
-            if nodes > SEARCH_LIMIT:
-                raise ValueError(
-                    f"search limit: more than {SEARCH_LIMIT} search nodes "
-                    f"for {len(masks)} contexts"
-                )
-            blocked = 0
-            for i, mask in enumerate(masks):
-                if covered >> i & 1:
-                    blocked |= mask
-            best, best_size = 0, len(holders) + 1
-            for i, mask in enumerate(masks):
-                if not covered >> i & 1:
-                    fits = mask & ~blocked
-                    size = fits.bit_count()
-                    if size < best_size:
-                        best, best_size = fits, size
-                        if size < 2:
-                            break
-            branches[covered] = best
-            while best:
-                e = best & -best
-                stack.append(covered | holders[e])
-                best ^= e
-        else:
-            count, least = 0, None
-            rest = branches.pop(covered)
-            while rest:
-                e = rest & -rest
-                rest ^= e
-                sub_count, sub_least = memo[covered | holders[e]]
-                if sub_count:
-                    count += sub_count
-                    if least is None or e | sub_least < least:
-                        least = e | sub_least
-            memo[covered] = (count, least)
-            stack.pop()
-    return memo[0]
+    full = (1 << len(masks)) - 1
+    if not full:
+        return 1, 0, 0
+    contexts = [(1 << i, mask) for i, mask in enumerate(masks)]
+    memo = {full: (1, 0)}
+    stack = []
+    nodes = covered = 0
+    while True:
+        # Expand the unseen node `covered`.
+        nodes += 1
+        if nodes > SEARCH_LIMIT:
+            raise ValueError(
+                f"search limit: more than {SEARCH_LIMIT} search nodes "
+                f"for {len(masks)} contexts"
+            )
+        blocked = 0
+        for b, mask in contexts:
+            if covered & b:
+                blocked |= mask
+        best, best_size = 0, len(holders) + 1
+        for b, mask in contexts:
+            if not covered & b:
+                fits = mask & ~blocked
+                size = fits.bit_count()
+                if size < best_size:
+                    best, best_size = fits, size
+                    if size < 2:
+                        break
+        frame = [covered, best, 0, 0, None]
+        stack.append(frame)
+        # Advance until an unseen child needs expanding.
+        while True:
+            untried = frame[1]
+            if untried:
+                e = untried & -untried
+                frame[1] = untried ^ e
+                covered = frame[0] | holders[e]
+                sub = memo.get(covered)
+                if sub is None:
+                    frame[2] = e
+                    break
+            else:
+                stack.pop()
+                sub = memo[frame[0]] = (frame[3], frame[4])
+                if not stack:
+                    return (*sub, nodes)
+                frame = stack[-1]
+                e = frame[2]
+            count, least = sub
+            if count:
+                frame[3] += count
+                if frame[4] is None or e | least < frame[4]:
+                    frame[4] = e | least
 
 
 def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> ColorabilityVerdict:
@@ -182,7 +200,7 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
     n = len(h.elements)
     # Bit (n-1-j) holds the j-th label in sorted order, so integer order is
     # lexicographic order over assignments.
-    bit = {label: 1 << (n - 1 - j) for j, label in enumerate(sorted(h.elements))}
+    bit = dict(zip(sorted(h.elements), [1 << j for j in range(n - 1, -1, -1)]))
     masks = []
     holders: dict[int, int] = {}  # element bit -> contexts holding it
     for i, context in enumerate(h.contexts):
@@ -192,8 +210,9 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
             mask |= b
             holders[b] = holders.get(b, 0) | 1 << i
         masks.append(mask)
-    covers, least = _exact_covers(masks, holders)
-    valid_count = covers << (n - len(holders))
+    covers, least, _ = _exact_covers(masks, holders)
+    free = n - len(holders)
+    valid_count = covers << free
     witness = None
     if covers:
         witness = {label: int(least & b != 0) for label, b in bit.items()}
@@ -203,7 +222,8 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
         valid_count=valid_count,
         total_assignments=1 << n,
         witness=witness,
-        obstruction=parity_obstruction(h),
+        # An element's incidence is the number of contexts in its holder mask.
+        obstruction=_parity_rule(len(masks), free, (m.bit_count() for m in holders.values())),
     )
 
 

@@ -10,9 +10,11 @@ from qcontext import (
     BlochVector,
     HiddenVariable,
     bell_marginal_estimate,
+    born_probabilities,
     noncontextual_value_map,
     simulate_povm,
 )
+from qcontext.bloch import projector_entries
 from qcontext.hv import _BLOCK, MAX_SAMPLES, SHARD_SIZE, _povm_shard, _shard_rng
 
 from conftest import _unit_sphere
@@ -134,6 +136,34 @@ class TestBellMarginal:
             bell_marginal_estimate(Z, Z, MAX_SAMPLES + 1, seed=1)
         with pytest.raises(ValueError, match="MAX_SAMPLES"):
             simulate_povm(nakamura, 0, Z, MAX_SAMPLES + 1, seed=1, workers=2)
+
+
+class TestHatBoxTheorem:
+    """The paper's second claim, exactly: the model reproduces the Born rule.
+
+    lam picks slot k of a context of N pairs with probability 1/N, and by the
+    hat-box theorem the sphere rule then selects the "+" element along d_k
+    with probability P[(m + n).d_k > 0] = (1 + n.d_k)/2. So the model gives
+    the pair (1 + n.d_k)/(2N) and (1 - n.d_k)/(2N), which must be the Born
+    values of the pair's two elements in the state (I + n.sigma)/2.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_arrays)
+    def test_model_probabilities_equal_born_values(self, nakamura, cabello, n):
+        n = BlochVector.from_array(n)
+        e = projector_entries(n)
+        state = ((e[0], e[1]), (e[2], e[3]))
+        for family in (nakamura, cabello):
+            for index, context in enumerate(family.contexts):
+                pairs = family.context_pairs(index)
+                model = []
+                for plus, _ in pairs:
+                    n_dot_d = n.dot(family.elements[plus].direction)
+                    model += [(1 + n_dot_d) / (2 * len(pairs)), (1 - n_dot_d) / (2 * len(pairs))]
+                born = born_probabilities(state, [family.elements[label] for label in context])
+                assert [label for pair in pairs for label in pair] == list(context)
+                assert max(abs(m - b) for m, b in zip(model, born, strict=True)) <= 1e-12
 
 
 def _simulate(nakamura, samples, workers, seed=1):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qcontext import (
     parity_obstruction,
     parse_hypergraph,
 )
+from qcontext.ks import _exact_covers
 from qcontext.tables import MODEL_CONTEXTS
 
 #: The Cabello-Estebaranz-Garcia-Alcaine Kochen-Specker set in R^4
@@ -210,6 +212,14 @@ class TestEnumerate:
         assert verdict.total_assignments == 1 << len(labels)
         assert verdict.witness == {label: int(any(label == c[-1] for c in contexts)) for label in labels}
 
+    def test_search_depth_is_off_the_recursion_limit(self):
+        # One level per context: a recursive search would overflow here.
+        labels = [f"x{i:05d}" for i in range(sys.getrecursionlimit() + 100)]
+        h = ContextHypergraph.from_contexts((label,) for label in labels)
+        verdict = enumerate_assignments(h)
+        assert verdict.valid_count == 1
+        assert verdict.witness == dict.fromkeys(labels, 1)
+
     def test_search_limit(self, monkeypatch, ceg):
         # The parity obstruction applies, but the count is still searched, so
         # a search over budget refuses to answer.
@@ -260,8 +270,10 @@ class TestEnumerate:
 
 
 class TestSearchBudget:
-    """Expanded-node counts of the decider: SEARCH_LIMIT = nodes answers and
-    nodes - 1 refuses. Changing the branch rule or the memo moves them."""
+    """Expanded-node counts of the decider, as _exact_covers returns them and
+    at the budget: SEARCH_LIMIT = nodes answers and nodes - 1 refuses.
+    Changing the branch rule or the memo moves them; the order of the element
+    bits does not, so the masks here number labels in listing order."""
 
     @pytest.mark.parametrize(
         "name,nodes", [("nakamura", 3), ("cabello", 8), ("ceg", 31), ("peres", 49)]
@@ -271,6 +283,12 @@ class TestSearchBudget:
             h = ContextHypergraph.from_contexts(MODEL_CONTEXTS[name])
         else:
             h = request.getfixturevalue(name)
+        masks = [sum(1 << h.elements.index(label) for label in c) for c in h.contexts]
+        holders = {
+            1 << j: sum(1 << i for i, c in enumerate(h.contexts) if label in c)
+            for j, label in enumerate(h.elements)
+        }
+        assert _exact_covers(masks, holders) == (0, None, nodes)
         monkeypatch.setattr("qcontext.ks.SEARCH_LIMIT", nodes)
         assert enumerate_assignments(h).valid_count == 0
         monkeypatch.setattr("qcontext.ks.SEARCH_LIMIT", nodes - 1)
@@ -314,6 +332,19 @@ class TestParityObstruction:
     def test_absent_when_incidence_is_not_two(self):
         h = ContextHypergraph.from_contexts([("a", "b"), ("b", "c"), ("c", "d")])
         assert parity_obstruction(h) is None
+
+    def test_free_element_lifts_the_rule(self):
+        # Nakamura's contexts give every label incidence 2; one more label in
+        # no context has incidence 0, so the rule no longer applies, whether
+        # counted over the contexts or read off the decider's holder masks.
+        paired = ContextHypergraph.from_contexts(MODEL_CONTEXTS["nakamura"])
+        assert parity_obstruction(paired) == ParityObstruction(3, 2)
+        assert enumerate_assignments(paired).obstruction == ParityObstruction(3, 2)
+        free = ContextHypergraph(elements=(*paired.elements, "free"), contexts=paired.contexts)
+        verdict = enumerate_assignments(free)
+        assert parity_obstruction(free) is None
+        assert verdict.obstruction is None
+        assert verdict.valid_count == 0
 
     def test_absent_without_contexts(self):
         h = ContextHypergraph(elements=("a",), contexts=())
