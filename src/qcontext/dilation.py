@@ -36,7 +36,6 @@ import math
 from typing import Iterable, Sequence
 
 from .bloch import ATOL, Entries
-from .ks import ContextHypergraph, enumerate_assignments
 from .povm import PovmFamily
 from .tables import Frozen
 
@@ -90,12 +89,6 @@ class DilationScheme(Frozen):
         object.__setattr__(self, "ancilla_dim", ancilla_dim)
         object.__setattr__(self, "context_index", context_index)
         object.__setattr__(self, "projectors", projectors)
-
-    def projector_for(self, label: str) -> SlotProjector:
-        for candidate, projector in self.projectors:
-            if candidate == label:
-                return projector
-        raise KeyError(f"missing element: scheme has no projector for {label!r}")
 
 
 def sequential_dilation(
@@ -257,11 +250,15 @@ def extension_audit(
         if scheme.ancilla_dim != schemes[0].ancilla_dim:
             raise ValueError("incomparable schemes: ancilla dimension differs")
 
+    # Reversed, so that a label listed twice keeps its first projector.
+    projectors = [dict(reversed(scheme.projectors)) for scheme in schemes]
     entries = []
     for label in family.elements:
         for i, j in itertools.combinations(family.element_contexts(label), 2):
-            slot_i, v_i = schemes[i].projector_for(label)
-            slot_j, v_j = schemes[j].projector_for(label)
+            try:
+                (slot_i, v_i), (slot_j, v_j) = projectors[i][label], projectors[j][label]
+            except KeyError:
+                raise KeyError(f"missing element: scheme has no projector for {label!r}") from None
             if slot_i == slot_j:
                 diff = _max_norm(a - b for a, b in zip(v_i, v_j))
             else:
@@ -283,6 +280,8 @@ def count_consistent_slot_assignments(family: PovmFamily) -> int:
     pairs hold that slot once). Raises ValueError("search limit: ...") past
     ks.SEARCH_LIMIT search nodes.
     """
+    from .ks import ContextHypergraph, enumerate_assignments
+
     context_keys = [[p for p, _ in family.context_pairs(i)] for i in range(len(family.contexts))]
     limit: dict[str, int] = {}
     for keys in context_keys:
@@ -439,8 +438,8 @@ def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | Non
     Reads the family's contexts directly: each is completed by its element
     atoms plus a zero-contribution filler, and two atoms are orthogonal when
     they share a context. Runs one derivation per element, in label order;
-    returns the first contradiction certificate, or None when the hypothesis
-    survives (feasible).
+    returns the first contradiction certificate, or None when no rule fires.
+    None proves nothing: the case is undecided, not feasible.
 
     The derivation confines the element's atom in every context it is not
     in, then takes one of two routes. Direct: one confinement is already all

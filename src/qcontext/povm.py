@@ -8,7 +8,6 @@ module loads no numpy; only ``hv`` imports it.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -217,13 +216,6 @@ class PovmFamily(Frozen):
             return cls(name=name, elements=elements, contexts=tuple(tuple(c) for c in contexts))
         except KeyError as exc:  # a context names a label no element has
             raise ValueError(exc.args[0]) from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PovmFamily":
-        return cls.from_dict(json.loads(text))
 
 
 def _is_finite_number(value) -> bool:

@@ -560,7 +560,7 @@ class TestStartup:
     )
     def test_non_numeric_command_loads_no_numpy(self, tmp_path, argv, expected_code):
         (tmp_path / "h.txt").write_text("a,b\nc,d\na,c,e\n")
-        family = nakamura_family().to_json()
+        family = json.dumps(nakamura_family().to_dict(), indent=2)
         (tmp_path / "family.json").write_text(family)
         proc = run_probe(CLI_PROBE, *argv, cwd=tmp_path, stdin=family)
         code, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
@@ -576,14 +576,17 @@ class TestStartup:
         assert json.loads(proc.stdout)["report"]["family"] == "nakamura"
 
     def test_family_loads_no_colorability_decider(self):
+        # Only ks-search and count_consistent_slot_assignments import ks; no
+        # root name is read, since the first read registers every layer.
         probe = (
             "import contextlib, io, sys\n"
             "from qcontext.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(['family', '--model', 'cabello'])\n"
-            "print(code, 'qcontext.ks' in sys.modules)\n"
+            "    codes = [main([command, '--model', 'cabello']) "
+            "for command in ('family', 'dilate', 'audit', 'feasibility')]\n"
+            "print(codes, 'qcontext.ks' in sys.modules)\n"
         )
-        assert run_probe(probe).stdout.strip() == "0 False"
+        assert run_probe(probe).stdout.strip() == "[0, 0, 0, 3] False"
 
     def test_combinatorics_load_no_numpy_and_sampling_still_runs(self):
         # Families, colorability and the one-to-one certificate are geometry

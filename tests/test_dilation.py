@@ -265,6 +265,13 @@ class TestExtensionAudit:
         with pytest.raises(ValueError, match=f"incomparable schemes: {message}"):
             extension_audit(nakamura, change(schemes))
 
+    def test_scheme_missing_a_label_names_it(self, nakamura):
+        schemes = [sequential_dilation(nakamura, i) for i in range(3)]
+        kept = tuple(p for p in schemes[2].projectors if p[0] != "B+")
+        schemes[2] = DilationScheme(schemes[2].ancilla_dim, 2, kept)
+        with pytest.raises(KeyError, match=r"missing element: scheme has no projector for 'B\+'"):
+            extension_audit(nakamura, schemes)
+
     def test_every_nakamura_slot_assignment_leaves_a_mismatch(self, nakamura):
         for orders in itertools.product(list(itertools.permutations(range(2))), repeat=3):
             schemes = [

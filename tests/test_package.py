@@ -66,15 +66,18 @@ def test_first_access_loads_every_layer(access):
 
 def test_first_access_executes_only_the_owning_layer():
     # type() reads no attribute, so it does not trigger a lazy layer's load.
+    # Building the families loads no json, so the probe imports it last.
     probe = run_probe(
-        "import json, sys, types, qcontext; qcontext.cabello_family(); "
-        f"print(json.dumps({{layer: type(sys.modules['qcontext.' + layer]) is types.ModuleType "
-        f"for layer in {LAYERS!r}}}))"
+        "import sys, types, qcontext; qcontext.cabello_family(); qcontext.nakamura_family(); "
+        f"executed = {{layer: type(sys.modules['qcontext.' + layer]) is types.ModuleType "
+        f"for layer in {LAYERS!r}}}; json_loaded = 'json' in sys.modules; "
+        "import json; print(json.dumps([executed, json_loaded]))"
     )
     assert probe.stderr == ""
-    assert json.loads(probe.stdout) == {
-        "bloch": True, "dilation": False, "hv": False, "ks": False, "povm": True,
-    }
+    assert json.loads(probe.stdout) == [
+        {"bloch": True, "dilation": False, "hv": False, "ks": False, "povm": True},
+        False,
+    ]
 
 
 def test_vars_executes_a_registered_layer():

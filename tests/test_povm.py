@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -295,6 +296,11 @@ class TestBornProbability:
                 assert -1e-12 <= p <= float(element.weight) + 1e-12
 
 
+def _through_json(family: PovmFamily) -> PovmFamily:
+    """The family rebuilt from its ``to_dict`` form written as JSON text."""
+    return PovmFamily.from_dict(json.loads(json.dumps(family.to_dict(), indent=2)))
+
+
 class TestSerialization:
     def test_round_trip(self, cabello):
         doc = cabello.to_dict()
@@ -307,14 +313,14 @@ class TestSerialization:
             assert clone.direction.dot(element.direction) == pytest.approx(1.0, abs=ATOL)
 
     def test_json_round_trip(self, nakamura):
-        rebuilt = PovmFamily.from_json(nakamura.to_json())
+        rebuilt = _through_json(nakamura)
         assert rebuilt.contexts == nakamura.contexts
         assert rebuilt.elements["A+"].weight == Fraction(1, 2)
 
     @pytest.mark.parametrize("build", [nakamura_family, cabello_family])
     def test_hash_and_equality_survive_json_round_trip(self, build):
         family = build()
-        rebuilt = PovmFamily.from_json(family.to_json())
+        rebuilt = _through_json(family)
         assert rebuilt == family
         assert hash(rebuilt) == hash(family)
         assert len({family, rebuilt}) == 1
@@ -330,7 +336,7 @@ class TestSerialization:
             for label, element in nakamura.elements.items()
         }
         family = PovmFamily(nakamura.name, elements, nakamura.contexts)
-        rebuilt = PovmFamily.from_json(family.to_json())
+        rebuilt = _through_json(family)
         assert rebuilt == family
         assert hash(rebuilt) == hash(family)
         assert {e.weight for e in rebuilt.elements.values()} == set(weights)
