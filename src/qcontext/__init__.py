@@ -34,7 +34,7 @@ _LAYER_NAMES = {
     "povm": ("PovmElement", "PovmFamily", "born_probabilities", "born_probability",
              "cabello_family", "check_completeness", "nakamura_family"),
     "ks": ("ColorabilityVerdict", "ContextHypergraph", "ParityObstruction",
-           "enumerate_assignments", "parity_obstruction", "parse_hypergraph"),
+           "enumerate_assignments", "parse_hypergraph"),
     "dilation": ("AuditEntry", "ContradictionCertificate", "DilationReport", "DilationScheme",
                  "count_consistent_slot_assignments", "extension_audit",
                  "one_to_one_feasibility", "sequential_dilation", "validate_certificate",

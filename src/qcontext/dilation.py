@@ -22,11 +22,12 @@ extended projector exactly when they give it the same slot and the same V.
 None of it loads an array library.
 
 The one-to-one reasoner is one derivation per element that reads the
-family's contexts directly, through one map from label to the contexts
-holding it: two element atoms are orthogonal when they share a context, and
-no element atom is orthogonal to another context's filler. It computes the
-element's confinements and its route (direct, or intersection with its
-eliminations), then emits every certificate step through one step function.
+family's contexts and, through ``element_contexts``, the incidence the
+family recorded when it was built: two element atoms are orthogonal when
+they share a context, and no element atom is orthogonal to another
+context's filler. It computes the element's confinements and its route
+(direct, or intersection with its eliminations), then emits every
+certificate step through one step function.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ class DilationScheme(Frozen):
     ):
         if ancilla_dim < 1:
             raise ValueError(f"invalid scheme: ancilla dimension {ancilla_dim} has no slot")
+        seen = set()
         for label, (slot, _) in projectors:
+            if label in seen:
+                raise ValueError(f"invalid scheme: label {label!r} has more than one projector")
+            seen.add(label)
             if slot not in range(ancilla_dim):
                 raise ValueError(
                     f"invalid scheme: {label} slot {slot!r} outside an ancilla of "
@@ -250,8 +255,7 @@ def extension_audit(
         if scheme.ancilla_dim != schemes[0].ancilla_dim:
             raise ValueError("incomparable schemes: ancilla dimension differs")
 
-    # Reversed, so that a label listed twice keeps its first projector.
-    projectors = [dict(reversed(scheme.projectors)) for scheme in schemes]
+    projectors = [dict(scheme.projectors) for scheme in schemes]
     entries = []
     for label in family.elements:
         for i, j in itertools.combinations(family.element_contexts(label), 2):
@@ -348,11 +352,10 @@ class ContradictionCertificate(Frozen):
         }
 
 
-def _contradiction_for(
-    family: PovmFamily, label: str, contexts_of: dict[str, set[int]]
-) -> ContradictionCertificate | None:
+def _contradiction_for(family: PovmFamily, label: str) -> ContradictionCertificate | None:
     atom = element_atom(label)
-    own = contexts_of[label]
+    contexts_of = family.element_contexts
+    own = set(contexts_of(label))
 
     def members(c: int, labels: Iterable[str]) -> list[str]:
         return [*map(element_atom, labels), filler_atom(c)]
@@ -362,7 +365,7 @@ def _contradiction_for(
     confinements = []
     for c, context in enumerate(family.contexts):
         if c not in own:
-            kept = tuple(x for x in context if not contexts_of[x] & own)
+            kept = tuple(x for x in context if own.isdisjoint(contexts_of(x)))
             if len(kept) < len(context):
                 confinements.append((c, kept))
 
@@ -379,8 +382,9 @@ def _contradiction_for(
         # such context. Atom order ("P[A+]" < "P[A]") numbers the steps it adds.
         blockers = {x for _, kept in confinements for x in kept}
         for q in sorted(blockers, key=element_atom):
+            holding_q = set(contexts_of(q))
             for _, kept in confinements:
-                shared = [contexts_of[q] & contexts_of[x] for x in kept]
+                shared = [holding_q.intersection(contexts_of(x)) for x in kept]
                 if q not in kept and all(shared):
                     eliminations[q] = sorted({min(s) for s in shared})
                     break
@@ -435,10 +439,11 @@ def _contradiction_for(
 def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | None:
     """Test the hypothesis that every element keeps one extended projector.
 
-    Reads the family's contexts directly: each is completed by its element
-    atoms plus a zero-contribution filler, and two atoms are orthogonal when
-    they share a context. Runs one derivation per element, in label order;
-    returns the first contradiction certificate, or None when no rule fires.
+    Reads the family's contexts and recorded incidence: each context is
+    completed by its element atoms plus a zero-contribution filler, and two
+    atoms are orthogonal when they share a context. Runs one derivation per
+    element, in label order; returns the first contradiction certificate, or
+    None when no rule fires.
     None proves nothing: the case is undecided, not feasible.
 
     The derivation confines the element's atom in every context it is not
@@ -460,12 +465,8 @@ def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | Non
     another context's filler need not be orthogonal to the blocker. So the
     intersection step cites the premise ``hypothesis:tight``.
     """
-    contexts_of: dict[str, set[int]] = {label: set() for label in family.elements}
-    for c, context in enumerate(family.contexts):
-        for label in context:
-            contexts_of[label].add(c)
     for label in sorted(family.elements):
-        certificate = _contradiction_for(family, label, contexts_of)
+        certificate = _contradiction_for(family, label)
         if certificate is not None:
             return certificate
     return None

@@ -2,19 +2,18 @@
 
 An assignment is valid when every context contains exactly one element valued
 1, so the 1-valued elements of a valid assignment are an exact cover of the
-contexts. Both deciders live here: an exact-cover search (Knuth's Algorithm
+contexts. One decider lives here, an exact-cover search (Knuth's Algorithm
 X; its only state is the mask of covered contexts, which fixes the blocked
 elements) that counts the valid assignments and finds the least one in one
 depth-first pass over a stack of frames, looking each child up in the memo
-once and counting the nodes it expands, and the counting (parity)
-obstruction that explains why the two measurement families admit none. The
-same search counts the consistent slot maps that
-dilation.count_consistent_slot_assignments reduces to a hypergraph.
+once and counting the nodes it expands. Its verdict carries the counting
+(parity) obstruction, read off the same incidences, that explains why the
+two measurement families admit none. The same search counts the consistent
+slot maps that dilation.count_consistent_slot_assignments reduces to a
+hypergraph.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .tables import Frozen
 
@@ -97,20 +96,6 @@ class ColorabilityVerdict(Frozen):
             "witness": self.witness,
             "obstruction": self.obstruction.to_dict() if self.obstruction else None,
         }
-
-
-def _parity_rule(context_count: int, free: int, incidences) -> ParityObstruction | None:
-    """The counting obstruction, given the context count, the number of
-    elements in no context and the incidence of every other element."""
-    if context_count % 2 == 0 or free or any(k != 2 for k in incidences):
-        return None
-    return ParityObstruction(context_count=context_count, incidence_multiplicity=2)
-
-
-def parity_obstruction(h: ContextHypergraph) -> ParityObstruction | None:
-    """The counting obstruction, or None when it does not apply."""
-    incidences = Counter(label for context in h.contexts for label in context)
-    return _parity_rule(len(h.contexts), len(h.elements) - len(incidences), incidences.values())
 
 
 def _exact_covers(masks: list[int], holders: dict[int, int]) -> tuple[int, int | None, int]:
@@ -216,14 +201,16 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
     witness = None
     if covers:
         witness = {label: int(least & b != 0) for label, b in bit.items()}
+    # The parity rule: an odd number of contexts and every element in exactly
+    # two, an element's incidence being the bit count of its holder mask.
+    parity = len(masks) % 2 and not free and all(m.bit_count() == 2 for m in holders.values())
 
     return ColorabilityVerdict(
         colorable=valid_count > 0,
         valid_count=valid_count,
         total_assignments=1 << n,
         witness=witness,
-        # An element's incidence is the number of contexts in its holder mask.
-        obstruction=_parity_rule(len(masks), free, (m.bit_count() for m in holders.values())),
+        obstruction=ParityObstruction(len(masks), 2) if parity else None,
     )
 
 

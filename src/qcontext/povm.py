@@ -74,21 +74,29 @@ class PovmFamily(Frozen):
 
     Element identity is the label: two contexts listing "B+" reference one
     element object, which is exactly the identification the dilation audit
-    probes.
+    probes. The walk that validates the context labels also records each
+    element's incidence, the ascending indices of the contexts holding it
+    (``()`` for an element in no context), which ``element_contexts`` looks
+    up; neither it nor the memo of ``context_pairs`` is part of the value.
     """
 
     _fields = ("name", "elements", "contexts")
+    __slots__ = (*_fields, "_incidence", "_pairs")
 
     def __init__(self, name: str, elements: dict[str, PovmElement], contexts: tuple[Context, ...]):
-        for context in contexts:
+        holders = {label: [] for label in elements}
+        for index, context in enumerate(contexts):
             if len(set(context)) != len(context):
                 raise ValueError(f"duplicate labels inside context {context!r}")
             for label in context:
                 if label not in elements:
                     raise KeyError(f"missing element: context references {label!r}")
+                holders[label].append(index)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "_incidence", {l: tuple(h) for l, h in holders.items()})
+        object.__setattr__(self, "_pairs", {})
 
     def __hash__(self) -> int:
         # The field-wise hash would hash the elements dict; a frozenset of its
@@ -96,15 +104,11 @@ class PovmFamily(Frozen):
         return hash((self.name, frozenset(self.elements.items()), self.contexts))
 
     def element_contexts(self, label: str) -> tuple[int, ...]:
-        """Indices of the contexts containing the given element."""
-        if label not in self.elements:
-            raise KeyError(f"missing element: {label!r}")
-        return tuple(i for i, c in enumerate(self.contexts) if label in c)
-
-    @cached_property
-    def _pairs(self) -> dict[int, tuple[tuple[str, str], ...]]:
-        """Context index -> validated pairs, filled by ``context_pairs``."""
-        return {}
+        """Indices of the contexts containing the given element, ascending."""
+        try:
+            return self._incidence[label]
+        except KeyError:
+            raise KeyError(f"missing element: {label!r}") from None
 
     def context_pairs(self, context_index: int) -> tuple[tuple[str, str], ...]:
         """Antipodal (plus, minus) label pairs of one context, in slot order.
@@ -112,8 +116,8 @@ class PovmFamily(Frozen):
         Contexts list elements pairwise (X+, X-, Y+, Y-, ...); this validates
         the pairing geometrically and is the slot convention shared by the
         dilation builder and the hidden-variable sampler. A context's pairs
-        are validated on first use and kept with the family; a context that
-        fails validation is never kept, so it raises on every call.
+        are validated on first use and kept in the family's memo; a context
+        that fails validation is never kept, so it raises on every call.
         """
         if not 0 <= context_index < len(self.contexts):
             raise ValueError(f"invalid context index {context_index}")

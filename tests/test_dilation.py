@@ -272,6 +272,17 @@ class TestExtensionAudit:
         with pytest.raises(KeyError, match=r"missing element: scheme has no projector for 'B\+'"):
             extension_audit(nakamura, schemes)
 
+    def test_scheme_repeating_a_label_rejected(self, nakamura):
+        # Context 3's scheme with a second B+ on slot 1: the audit could
+        # compare only one of B+'s two projectors, so the scheme refuses it.
+        scheme = sequential_dilation(nakamura, 2)
+        label, (_, v) = scheme.projectors[0]
+        assert label == "B+"
+        with pytest.raises(
+            ValueError, match=r"^invalid scheme: label 'B\+' has more than one projector$"
+        ):
+            DilationScheme(scheme.ancilla_dim, 2, (*scheme.projectors, ("B+", (1, v))))
+
     def test_every_nakamura_slot_assignment_leaves_a_mismatch(self, nakamura):
         for orders in itertools.product(list(itertools.permutations(range(2))), repeat=3):
             schemes = [
@@ -335,16 +346,18 @@ class TestOneToOneFeasibility:
         final = cert.steps[-1]
         assert {"zero-trace:F3", "zero-trace:F4", "zero-trace:F5"} <= set(final.premises)
 
-    def test_single_context_is_feasible(self, nakamura):
+    def test_single_context_is_undecided(self, nakamura):
         assert one_to_one_feasibility(nakamura.restrict([0])) is None
 
-    def test_disjoint_contexts_are_feasible(self, nakamura):
+    def test_disjoint_contexts_are_undecided(self, nakamura):
         disjoint = PovmFamily(
             name="disjoint",
             elements=dict(nakamura.elements),
             contexts=(("A+", "A-"), ("B+", "B-")),
         )
         assert one_to_one_feasibility(disjoint) is None
+        # C+ lies in no context; the family still records its empty incidence.
+        assert disjoint.element_contexts("C+") == ()
 
     def test_validator_rejects_tampering(self, nakamura):
         cert = one_to_one_feasibility(nakamura)

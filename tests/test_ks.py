@@ -10,7 +10,6 @@ from qcontext import (
     ContextHypergraph,
     ParityObstruction,
     enumerate_assignments,
-    parity_obstruction,
     parse_hypergraph,
 )
 from qcontext.ks import _exact_covers
@@ -301,23 +300,21 @@ class TestParityObstruction:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(hypergraphs(), paired_hypergraphs()))
     def test_verdict_carries_the_parity_rule(self, h):
-        obstruction = parity_obstruction(h)
         verdict = enumerate_assignments(h)
-        assert verdict.obstruction == obstruction
         # The rule, by one scan of the contexts per label.
         applies = len(h.contexts) % 2 == 1 and all(
             sum(label in c for c in h.contexts) == 2 for label in h.elements
         )
         if applies:
-            assert obstruction == ParityObstruction(len(h.contexts), 2)
+            assert verdict.obstruction == ParityObstruction(len(h.contexts), 2)
             assert verdict.valid_count == 0
         else:
-            assert obstruction is None
+            assert verdict.obstruction is None
 
     def test_present_for_both_families(self, nakamura, cabello):
         for family, count in ((nakamura, 3), (cabello, 5)):
             h = ContextHypergraph.from_contexts(family.contexts)
-            obstruction = parity_obstruction(h)
+            obstruction = enumerate_assignments(h).obstruction
             assert obstruction is not None
             assert obstruction.context_count == count
             assert obstruction.incidence_multiplicity == 2
@@ -326,29 +323,28 @@ class TestParityObstruction:
         # Two identical contexts: every element occurs twice but the count is
         # even, so the parity argument is silent and witnesses exist.
         h = ContextHypergraph.from_contexts([("a", "b"), ("a", "b")])
-        assert parity_obstruction(h) is None
-        assert enumerate_assignments(h).colorable
+        verdict = enumerate_assignments(h)
+        assert verdict.obstruction is None
+        assert verdict.colorable
 
     def test_absent_when_incidence_is_not_two(self):
         h = ContextHypergraph.from_contexts([("a", "b"), ("b", "c"), ("c", "d")])
-        assert parity_obstruction(h) is None
+        assert enumerate_assignments(h).obstruction is None
 
     def test_free_element_lifts_the_rule(self):
         # Nakamura's contexts give every label incidence 2; one more label in
-        # no context has incidence 0, so the rule no longer applies, whether
-        # counted over the contexts or read off the decider's holder masks.
+        # no context has incidence 0 and no holder mask, so the rule no
+        # longer applies.
         paired = ContextHypergraph.from_contexts(MODEL_CONTEXTS["nakamura"])
-        assert parity_obstruction(paired) == ParityObstruction(3, 2)
         assert enumerate_assignments(paired).obstruction == ParityObstruction(3, 2)
         free = ContextHypergraph(elements=(*paired.elements, "free"), contexts=paired.contexts)
         verdict = enumerate_assignments(free)
-        assert parity_obstruction(free) is None
         assert verdict.obstruction is None
         assert verdict.valid_count == 0
 
     def test_absent_without_contexts(self):
         h = ContextHypergraph(elements=("a",), contexts=())
-        assert parity_obstruction(h) is None
+        assert enumerate_assignments(h).obstruction is None
 
 
 class TestHypergraphParsing:

@@ -47,6 +47,9 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         qcontext.no_such_name
     assert not hasattr(qcontext, "cli_main")
+    # Deleted: the colorability verdict carries the parity rule.
+    with pytest.raises(AttributeError, match="parity_obstruction"):
+        qcontext.parity_obstruction
 
 
 def test_import_alone_loads_no_layer():
@@ -117,6 +120,11 @@ def test_name_map_lists_what_each_layer_defines():
         defined = _top_level_names(SRC_DIR / "qcontext" / f"{layer}.py")
         assert set(names) == defined & public, layer
     assert len(qcontext.__all__) == sum(map(len, qcontext._LAYER_NAMES.values()))
+    # ks defines no separate parity function; its verdict carries the rule.
+    assert qcontext._LAYER_NAMES["ks"] == (
+        "ColorabilityVerdict", "ContextHypergraph", "ParityObstruction",
+        "enumerate_assignments", "parse_hypergraph",
+    )
 
 
 def _imports_numpy(path: Path) -> bool:

@@ -48,6 +48,8 @@ class TestStructure:
     def test_cabello_first_element_contexts(self, cabello):
         assert cabello.element_contexts("A+") == (0, 1)
         assert cabello.element_contexts("A-") == (0, 1)
+        with pytest.raises(KeyError, match=r"missing element: 'Z\+'"):
+            cabello.element_contexts("Z+")
 
     def test_every_element_in_exactly_two_contexts(self, nakamura, cabello):
         for family in (nakamura, cabello):

@@ -19,7 +19,6 @@ from qcontext import (
     hexagon_vertices,
     nakamura_family,
     one_to_one_feasibility,
-    parity_obstruction,
     sequential_dilation,
     simulate_povm,
     verify_dilation,
@@ -44,7 +43,7 @@ VALUES = {
     "PovmFamily": (nakamura_family, ("name", "elements", "contexts"), True),
     "ContextHypergraph": (_hypergraph, ("elements", "contexts"), True),
     "ParityObstruction": (
-        lambda: parity_obstruction(_hypergraph()),
+        lambda: enumerate_assignments(_hypergraph()).obstruction,
         ("context_count", "incidence_multiplicity"),
         True,
     ),
@@ -161,7 +160,7 @@ def test_pickle_round_trip(case):
             "direction=BlochVector(x=0.0, y=0.0, z=1.0))",
         ),
         (
-            lambda: parity_obstruction(_hypergraph()),
+            lambda: enumerate_assignments(_hypergraph()).obstruction,
             "ParityObstruction(context_count=3, incidence_multiplicity=2)",
         ),
         (
