@@ -13,15 +13,22 @@ The kernel draws a Gaussian triple z per sample, so m = z/|z| is uniform on
 the sphere, but it never builds m: for |z| > 0 the sign of (z/|z| + n).v is
 the sign of z.v + |z|(n.v), so only the row norms are needed; |z| is the
 square root of square(z) @ (1, 1, 1). It works through a shard in blocks of
-``_BLOCK`` samples, drawing the same numbers as one whole-shard draw. Per
-block it draws z into a reused buffer, writes each slot's projections z.v
-into one row of another and picks sample i's own with one ``take`` at flat
-index lam * (row length) + i.
+``_BLOCK`` samples, drawing the same numbers as one whole-shard draw and
+doing the same arithmetic on each sample at any block size. (numpy computes
+a one-row block's products as a dot, not a matrix-vector product, which can
+round a last bit differently; a one-sample last block is the only such
+case.) A block allocates nothing: it draws z into scratch made once per shard,
+writes each slot's projections z.v into one row of another, picks sample
+i's own with one ``take`` at flat index lam * (row length) + i, and writes
+every later step into scratch with ``out=``. The shard counts its "-" and
+boundary masks once, after its last block.
 
 The runner runs a call's shards on a thread pool. numpy releases the GIL in
 the Gaussian draw and in the matrix-vector products, which do most of a
 shard's work, so two threads overlap on two cores with no fork and no
-pickling.
+pickling. Every numpy call also drops and retakes the GIL, and under the
+pool each handoff can cost a context switch, so the block is as large as
+the cache allows.
 
 This is the one module that knows numpy, and its array functions import it
 when called, so ``noncontextual_value_map`` and the report types load none.
@@ -46,12 +53,15 @@ if TYPE_CHECKING:  # imported for real inside the array functions
 #: Fixed Monte Carlo shard size; substreams derive from (seed, shard index)
 #: alone, so reports are identical for any worker count.
 SHARD_SIZE = 1 << 17
-#: Samples per block inside a shard. A block's temporaries (32 KiB per sample
-#: vector) and the shard's buffers, reused by every block (96 KiB for z,
-#: 32-128 KiB of projections for 1-4 slots), stay in cache, while whole-shard
-#: temporaries (1-4 MiB) are mapped and page-faulted afresh on most shards.
-#: 1 << 13 is no faster and holds 0.3 MiB more at a 4-slot shard's peak.
-_BLOCK = 1 << 12
+#: Samples per block inside a shard. The size trades the per-call GIL
+#: handoffs against the cache. A block makes a fixed number of numpy calls,
+#: each of which drops and retakes the GIL, and two pool threads contend for
+#: it at every call: a 4e6-sample op at workers=2 made about 2,500 voluntary
+#: context switches at 1 << 12 and about 1,000 at 1 << 13. The scratch every
+#: block reuses (192 KiB for z, 64-256 KiB of projections for 1-4 slots,
+#: 64 KiB per sample vector) stays in cache: at workers=1 a shard runs 1-5%
+#: slower than at 1 << 12, but 10-18% slower at 1 << 14.
+_BLOCK = 1 << 13
 #: Largest |z| of a passing simulation: the 5-sigma acceptance rule.
 Z_LIMIT = 5.0
 
@@ -83,40 +93,64 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
     rng = _shard_rng(seed, shard_index)
     # integers(0, 1, ...) draws nothing, so a one-slot shard draws z alone.
     lams = rng.integers(0, n_slots, size=count)
-    n_dots = plus_dirs @ n_arr
+    # Float, so it can be taken into a float buffer: integer directions give int64.
+    n_dots = (plus_dirs @ n_arr).astype(float)
     size = min(_BLOCK, count)
-    # Buffers every block reuses: z, and one row per slot k holding the
-    # block's projections onto slot k's "+" direction, so sample i's own
-    # projection sits at flat index lam[i] * size + i.
-    zbuf = np.empty((size, 3))
-    proj = np.empty((n_slots, size))
+    # Scratch made once per shard, so a block allocates nothing. The float
+    # rows hold z (three rows' worth), one row per slot k of the block's
+    # projections onto slot k's "+" direction, sample i's own projection, |z|
+    # and n.d. They are one allocation: as separate buffers above malloc's
+    # mmap threshold they were mapped and page-faulted afresh on every call
+    # (155 minor faults per 8000-sample call); one larger block raises glibc's
+    # dynamic threshold, so later calls reuse heap pages. flat holds sample
+    # i's flat index lam[i] * width + i. The "-" and boundary masks span the
+    # shard and are counted once, after its last block.
+    scratch = np.empty((6 + n_slots, size))
+    z_buf, proj_buf = scratch[:3].reshape(-1), scratch[3 : 3 + n_slots].reshape(-1)
+    signed_buf, r_buf, nd_buf = scratch[3 + n_slots :]
+    flat_buf = np.empty(size, dtype=np.intp)
+    minus_all, zero_all = np.empty((2, count), dtype=bool)
     offsets = np.arange(size)
     ones = np.ones(3)
-    counts = np.zeros(2 * n_slots, dtype=np.int64)
-    boundary = 0
+    width = 0
     for start in range(0, count, _BLOCK):
-        lam = lams[start : start + _BLOCK]
-        width = len(lam)
+        stop = start + _BLOCK
+        lam = lams[start:stop]
+        if len(lam) != width:
+            # The first block, and a shorter last one, view the front of the scratch.
+            width = len(lam)
+            z = z_buf[: width * 3].reshape(width, 3)
+            proj = proj_buf[: n_slots * width].reshape(n_slots, width)
+            flat, signed, r, nd = (b[:width] for b in (flat_buf, signed_buf, r_buf, nd_buf))
+        minus, zero = minus_all[start:stop], zero_all[start:stop]
         # Successive standard_normal calls continue one stream, so drawing z
         # block by block gives the same z as drawing it whole.
-        z = rng.standard_normal(out=zbuf[:width])
+        rng.standard_normal(out=z)
         # m = z/|z| is never built: sign((z/|z| + n).d) = sign(z.d + |z|(n.d)).
         # One matrix-vector product per slot: a gemm against plus_dirs.T would
         # start BLAS threads inside every pool thread and oversubscribe the cores.
         for k in range(n_slots):
-            np.matmul(z, plus_dirs[k], out=proj[k, :width])
-        signed = proj.take(lam * size + offsets[:width])
+            np.matmul(z, plus_dirs[k], out=proj[k])
+        np.multiply(lam, width, out=flat)
+        np.add(flat, offsets[:width], out=flat)
+        # mode="raise" would write into a copy of signed; every index is in range.
+        proj.take(flat, out=signed, mode="clip")
         # z is spent once projected, so its squares overwrite it.
-        r = np.square(z, out=z) @ ones
+        np.matmul(np.square(z, out=z), ones, out=r)
         np.sqrt(r, out=r)
         # A zero triple (probability zero) counts as m = 0.
-        r[r == 0] = 1.0
-        r *= n_dots.take(lam)
-        signed += r
+        np.equal(r, 0, out=zero)
+        np.copyto(r, 1.0, where=zero)
+        n_dots.take(lam, out=nd, mode="clip")
+        np.multiply(r, nd, out=r)
+        np.add(signed, r, out=signed)
         # Outcome 1 picks the "+" element of the slot pair; the boundary counts as 0.
-        counts += np.bincount(2 * lam + (signed <= 0), minlength=2 * n_slots)
-        boundary += int(np.count_nonzero(signed == 0))
-    return counts, boundary
+        np.less_equal(signed, 0, out=minus)
+        np.equal(signed, 0, out=zero)
+    # Sample i's element index is 2 lam[i] + minus[i].
+    lams += lams
+    lams += minus_all
+    return np.bincount(lams, minlength=2 * n_slots), int(np.count_nonzero(zero_all))
 
 
 def _sample(

@@ -84,6 +84,9 @@ class PovmFamily(Frozen):
     __slots__ = (*_fields, "_incidence", "_pairs")
 
     def __init__(self, name: str, elements: dict[str, PovmElement], contexts: tuple[Context, ...]):
+        # A copy: the caller's dict could otherwise gain or lose an element
+        # behind the recorded incidence, and move the hash.
+        elements = dict(elements)
         holders = {label: [] for label in elements}
         for index, context in enumerate(contexts):
             if len(set(context)) != len(context):

@@ -430,6 +430,19 @@ class TestPinnedCheckOutputs:
         assert out == (PINNED_DIR / f"check-{model}.json").read_text()
 
 
+class TestPinnedSimulateOutputs:
+    """``simulate`` output, byte for byte, for both models: 300001 samples span
+    three shards, and the last one ends on a partial block."""
+
+    @pytest.mark.parametrize("model", ["nakamura", "cabello"])
+    def test_output(self, capsys, model):
+        code, out = run_cli(
+            capsys, "simulate", "--model", model, "--context", "2", "--samples", "300001", "--seed", "7"
+        )
+        assert code == 0
+        assert out == (PINNED_DIR / f"simulate-{model}.json").read_text()
+
+
 class TestPinnedKsSearchOutputs:
     """``ks-search`` output, byte for byte, for both models and one colorable
     hypergraph file."""

@@ -379,9 +379,32 @@ class TestKernelImplementsModel:
         plus_dirs = np.array(
             [_array(family.elements[plus].direction) for plus, _ in family.context_pairs(context)]
         )
-        # 5000 samples span two blocks, the second a partial one.
-        counts, _ = _povm_shard((plus_dirs, _array(n), seed, 0, 5000))
-        assert counts.tolist() == _value_map_counts(family, n, seed, 5000)[context].tolist()
+        # _BLOCK + 904 samples span two blocks, the second a partial one.
+        count = _BLOCK + 904
+        counts, _ = _povm_shard((plus_dirs, _array(n), seed, 0, count))
+        assert counts.tolist() == _value_map_counts(family, n, seed, count)[context].tolist()
+
+
+class TestBlockSize:
+    """The block is a cache size, not part of the seed-to-report contract: a
+    shard counts the same at any block size."""
+
+    @pytest.mark.parametrize("count", [SHARD_SIZE, SHARD_SIZE - 3])
+    @pytest.mark.parametrize("n_slots", [1, 2, 4])
+    def test_counts_do_not_depend_on_the_block(self, monkeypatch, n_slots, count):
+        from qcontext import hv
+
+        rng = np.random.default_rng(n_slots)
+        plus_dirs = rng.standard_normal((n_slots, 3))
+        plus_dirs /= np.linalg.norm(plus_dirs, axis=1, keepdims=True)
+        task = (plus_dirs, _array(BlochVector.normalized(0.3, -0.5, 0.8)), 19, 2, count)
+        results = []
+        for block in (1 << 12, 1 << 13, 1 << 14):
+            monkeypatch.setattr(hv, "_BLOCK", block)
+            counts, boundary = _povm_shard(task)
+            results.append((counts.tolist(), boundary))
+        assert results == [results[0]] * 3
+        assert sum(results[0][0]) == count
 
 
 class TestPinnedReports:

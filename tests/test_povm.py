@@ -51,6 +51,23 @@ class TestStructure:
         with pytest.raises(KeyError, match=r"missing element: 'Z\+'"):
             cabello.element_contexts("Z+")
 
+    def test_source_dict_mutation_does_not_reach_the_family(self, nakamura):
+        # The family keeps its own copy of the elements it was built from, so
+        # the incidence it recorded stays true of the elements it holds.
+        source = dict(nakamura.elements)
+        family = PovmFamily("one", source, nakamura.contexts[:1])
+        twin = PovmFamily("one", dict(nakamura.elements), nakamura.contexts[:1])
+        before = hash(family)
+        source["Z"] = nakamura.elements["A+"]
+        del source["B-"]
+        assert family.elements == nakamura.elements
+        assert "Z" not in family.elements
+        with pytest.raises(KeyError, match="missing element: 'Z'"):
+            family.element_contexts("Z")
+        assert family.element_contexts("B-") == (0,)
+        assert hash(family) == before == hash(twin)
+        assert family == twin
+
     def test_every_element_in_exactly_two_contexts(self, nakamura, cabello):
         for family in (nakamura, cabello):
             for label in family.elements:
