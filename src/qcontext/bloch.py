@@ -44,9 +44,7 @@ class BlochVector(Frozen):
         norm_sq = x * x + y * y + z * z
         if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"invalid direction: not a unit vector, |v|^2 = {norm_sq!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        super().__init__(x, y, z)
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "BlochVector":

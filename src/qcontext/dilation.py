@@ -91,9 +91,7 @@ class DilationScheme(Frozen):
                     f"invalid scheme: {label} slot {slot!r} outside an ancilla of "
                     f"dimension {ancilla_dim}"
                 )
-        object.__setattr__(self, "ancilla_dim", ancilla_dim)
-        object.__setattr__(self, "context_index", context_index)
-        object.__setattr__(self, "projectors", projectors)
+        super().__init__(ancilla_dim, context_index, projectors)
 
 
 def sequential_dilation(
@@ -115,15 +113,12 @@ def sequential_dilation(
         slot_order = tuple(range(n_slots))
     if sorted(slot_order) != list(range(n_slots)):
         raise ValueError(f"invalid context: slot order {slot_order!r} is not a permutation")
-    return DilationScheme(
-        ancilla_dim=n_slots,
-        context_index=context_index,
-        projectors=tuple(
-            (label, (slot, family.elements[label].projector_entries))
-            for slot, pair_index in enumerate(slot_order)
-            for label in pairs[pair_index]
-        ),
+    projectors = tuple(
+        (label, (slot, family.elements[label].projector_entries))
+        for slot, pair_index in enumerate(slot_order)
+        for label in pairs[pair_index]
     )
+    return DilationScheme(n_slots, context_index, projectors)
 
 
 class DilationReport(Frozen):
@@ -136,18 +131,6 @@ class DilationReport(Frozen):
     __slots__ = _fields = (
         "context_index", "element_residuals", "orthogonality_residual", "completeness_residual",
     )
-
-    def __init__(
-        self,
-        context_index: int,
-        element_residuals: dict[str, float],
-        orthogonality_residual: float,
-        completeness_residual: float,
-    ):
-        object.__setattr__(self, "context_index", context_index)
-        object.__setattr__(self, "element_residuals", element_residuals)
-        object.__setattr__(self, "orthogonality_residual", orthogonality_residual)
-        object.__setattr__(self, "completeness_residual", completeness_residual)
 
     @property
     def max_residual(self) -> float:
@@ -205,26 +188,13 @@ def verify_dilation(
             total = tuple(t + x for t, x in zip(total, v))
         completeness.extend(t - i for t, i in zip(total, _IDENTITY))
 
-    return DilationReport(
-        context_index=context_index,
-        element_residuals=element_residuals,
-        orthogonality_residual=orthogonality,
-        completeness_residual=_max_norm(completeness),
-    )
+    return DilationReport(context_index, element_residuals, orthogonality, _max_norm(completeness))
 
 
 class AuditEntry(Frozen):
     """Comparison of one element's extended projectors across two contexts."""
 
     __slots__ = _fields = ("label", "context_indices", "equal", "max_difference")
-
-    def __init__(
-        self, label: str, context_indices: tuple[int, int], equal: bool, max_difference: float
-    ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "context_indices", context_indices)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "max_difference", max_difference)
 
     def to_dict(self) -> dict:
         return {
@@ -318,12 +288,6 @@ def filler_atom(context_index: int) -> str:
 class CertificateStep(Frozen):
     __slots__ = _fields = ("index", "rule", "premises", "conclusion")
 
-    def __init__(self, index: int, rule: str, premises: tuple[str, ...], conclusion: str):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "conclusion", conclusion)
-
     def to_dict(self) -> dict:
         return {
             "index": self.index,
@@ -337,11 +301,6 @@ class ContradictionCertificate(Frozen):
     """Ordered deduction chain ending in a zero-contribution contradiction."""
 
     __slots__ = _fields = ("family", "element", "steps")
-
-    def __init__(self, family: str, element: str, steps: tuple[CertificateStep, ...]):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "steps", steps)
 
     def to_dict(self) -> dict:
         return {
@@ -433,7 +392,7 @@ def _contradiction_for(family: PovmFamily, label: str) -> ContradictionCertifica
         f"POVM contribution, but element {label} has weight "
         f"{family.elements[label].weight} > 0",
     )
-    return ContradictionCertificate(family=family.name, element=label, steps=tuple(steps))
+    return ContradictionCertificate(family.name, label, tuple(steps))
 
 
 def one_to_one_feasibility(family: PovmFamily) -> ContradictionCertificate | None:

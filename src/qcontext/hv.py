@@ -74,8 +74,12 @@ class HiddenVariable(Frozen):
     __slots__ = _fields = ("lam", "m")
 
     def __init__(self, lam: int, m: BlochVector):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "m", m)
+        # bool is an int subclass: True would otherwise run as lam = 1.
+        if isinstance(lam, bool) or not isinstance(lam, int) or lam < 0:
+            raise ValueError(f"hidden variable lam must be an int >= 0, got {lam!r}")
+        if not isinstance(m, BlochVector):
+            raise ValueError(f"hidden variable m must be a BlochVector, got {type(m).__name__}")
+        super().__init__(lam, m)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
@@ -218,32 +222,6 @@ class SimulationReport(Frozen):
         "frequencies", "born", "z_scores", "boundary_count",
     )
 
-    def __init__(
-        self,
-        family: str,
-        context_index: int,
-        state: tuple[float, float, float],
-        samples: int,
-        seed: int,
-        labels: tuple[str, ...],
-        counts: tuple[int, ...],
-        frequencies: tuple[float, ...],
-        born: tuple[float, ...],
-        z_scores: tuple[float, ...],
-        boundary_count: int,
-    ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "context_index", context_index)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "frequencies", frequencies)
-        object.__setattr__(self, "born", born)
-        object.__setattr__(self, "z_scores", z_scores)
-        object.__setattr__(self, "boundary_count", boundary_count)
-
     def frequencies_sum_to_one(self) -> bool:
         """Exact rational check that the per-element frequencies total 1."""
         return sum(Fraction(c, self.samples) for c in self.counts) == 1
@@ -321,17 +299,8 @@ def simulate_povm(
     )
 
     return SimulationReport(
-        family=family.name,
-        context_index=context_index,
-        state=(n.x, n.y, n.z),
-        samples=samples,
-        seed=seed,
-        labels=tuple(labels),
-        counts=tuple(int(c) for c in counts),
-        frequencies=frequencies,
-        born=born,
-        z_scores=z_scores,
-        boundary_count=boundary,
+        family.name, context_index, (n.x, n.y, n.z), samples, seed, tuple(labels),
+        tuple(int(c) for c in counts), frequencies, born, z_scores, boundary,
     )
 
 

@@ -38,8 +38,7 @@ class ContextHypergraph(Frozen):
             if not pool.issuperset(context):
                 unknown = [label for label in context if label not in pool]
                 raise ValueError(f"context references unknown labels {unknown!r}")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "contexts", contexts)
+        super().__init__(elements, contexts)
 
     @classmethod
     def from_contexts(cls, contexts) -> "ContextHypergraph":
@@ -60,10 +59,6 @@ class ParityObstruction(Frozen):
 
     __slots__ = _fields = ("context_count", "incidence_multiplicity")
 
-    def __init__(self, context_count: int, incidence_multiplicity: int):
-        object.__setattr__(self, "context_count", context_count)
-        object.__setattr__(self, "incidence_multiplicity", incidence_multiplicity)
-
     def to_dict(self) -> dict:
         return {
             "context_count": self.context_count,
@@ -73,20 +68,6 @@ class ParityObstruction(Frozen):
 
 class ColorabilityVerdict(Frozen):
     __slots__ = _fields = ("colorable", "valid_count", "total_assignments", "witness", "obstruction")
-
-    def __init__(
-        self,
-        colorable: bool,
-        valid_count: int,
-        total_assignments: int,
-        witness: dict[str, int] | None,
-        obstruction: ParityObstruction | None,
-    ):
-        object.__setattr__(self, "colorable", colorable)
-        object.__setattr__(self, "valid_count", valid_count)
-        object.__setattr__(self, "total_assignments", total_assignments)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "obstruction", obstruction)
 
     def to_dict(self) -> dict:
         return {
@@ -205,13 +186,8 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
     # two, an element's incidence being the bit count of its holder mask.
     parity = len(masks) % 2 and not free and all(m.bit_count() == 2 for m in holders.values())
 
-    return ColorabilityVerdict(
-        colorable=valid_count > 0,
-        valid_count=valid_count,
-        total_assignments=1 << n,
-        witness=witness,
-        obstruction=ParityObstruction(len(masks), 2) if parity else None,
-    )
+    obstruction = ParityObstruction(len(masks), 2) if parity else None
+    return ColorabilityVerdict(valid_count > 0, valid_count, 1 << n, witness, obstruction)
 
 
 def parse_hypergraph(text: str) -> ContextHypergraph:

@@ -38,6 +38,8 @@ class PovmElement(Frozen):
     """
 
     _fields = ("label", "weight", "direction")
+    # __dict__ holds the two cached properties.
+    __slots__ = (*_fields, "__dict__")
 
     def __init__(self, label: str, weight: Fraction, direction: BlochVector):
         # Written as negations so that a NaN weight fails the first test.
@@ -45,9 +47,7 @@ class PovmElement(Frozen):
             raise ValueError(f"element {label!r} must have positive weight")
         if not weight <= 1:
             raise ValueError(f"element {label!r} must have weight at most 1")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "direction", direction)
+        super().__init__(label, weight, direction)
 
     @cached_property
     def projector_entries(self) -> Entries:
@@ -95,9 +95,7 @@ class PovmFamily(Frozen):
                 if label not in elements:
                     raise KeyError(f"missing element: context references {label!r}")
                 holders[label].append(index)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "contexts", contexts)
+        super().__init__(name, elements, contexts)
         object.__setattr__(self, "_incidence", {l: tuple(h) for l, h in holders.items()})
         object.__setattr__(self, "_pairs", {})
 
@@ -143,6 +141,11 @@ class PovmFamily(Frozen):
 
     def restrict(self, context_indices: Sequence[int]) -> "PovmFamily":
         """Sub-family keeping only the selected contexts and their elements."""
+        for n, i in enumerate(context_indices):
+            if not 0 <= i < len(self.contexts):
+                raise ValueError(f"invalid context index {i}")
+            if i in context_indices[:n]:
+                raise ValueError(f"invalid context index {i}: repeated")
         kept = tuple(self.contexts[i] for i in context_indices)
         labels = {label for context in kept for label in context}
         return PovmFamily(

@@ -7,8 +7,9 @@ family: a usage error never executes ``povm``, and ``ks-search --model``
 executes neither ``bloch`` nor ``povm``. ``povm`` builds the two families
 from the same rows, and ``hv`` enforces the same ceiling.
 
-Every layer's value types derive from ``Frozen``, kept here because every
-layer can import this module at no cost: it imports only ``operator``, which
+Every layer's value types derive from ``Frozen``, which builds each of them
+from its one field list, ``_fields``. It is kept here because every layer
+can import this module at no cost: it imports only ``operator``, which
 ``argparse``, ``json`` and ``fractions`` load anyway. A frozen dataclass
 would cost each process the import of the dataclass module (which imports
 ``inspect``) and an ``exec`` of every generated method.
@@ -43,24 +44,48 @@ MAX_SAMPLES = 1 << 32
 
 
 class Frozen:
-    """An immutable record of the fields named in ``_fields``, compared,
-    hashed, shown and pickled by their values in that order, as a frozen
-    dataclass is: equal only to an instance of the same class, hashable when
-    every field is, and ``AttributeError`` on any assignment or deletion.
+    """An immutable record of the fields named in ``_fields``, built,
+    compared, hashed, shown and pickled by their values in that order, as a
+    frozen dataclass is: equal only to an instance of the same class, hashable
+    when every field is, and ``AttributeError`` on any assignment or deletion.
 
-    A subclass writes its own ``__init__``, which validates its arguments and
-    sets each field with ``object.__setattr__``. It declares ``__slots__``
-    unless a ``cached_property`` needs an instance ``__dict__``.
+    ``_fields`` is the only place a subclass writes its field order, and its
+    ``__slots__`` holds every field (plus ``__dict__`` where a
+    ``cached_property`` needs one). ``Frozen.__init__`` takes the fields
+    positionally or by name and stores them. A subclass that validates writes
+    an ``__init__`` whose parameters are ``_fields`` in order (``__reduce__``
+    rebuilds positionally), checks them, and ends in ``super().__init__``
+    with every field positional.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
+        fields = cls._fields
         # The field tuple, read by one C-level getter per class, called as
         # self._values(self); a getter of one name returns the bare value.
-        get = attrgetter(*cls._fields)
-        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+        # Each field's slot setter, which bypasses __setattr__ as
+        # object.__setattr__ does, looked up once per class.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named or len(values) != len(setters):
+            values = self._bind(values, named)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    def _bind(self, values, named):
+        """The field values in order, from a call by name or of the wrong length."""
+        fields = self._fields
+        bound = dict(zip(fields, values))
+        if len(values) > len(fields) or bound.keys() & named or {*bound, *named} != {*fields}:
+            raise TypeError(f"{self.__class__.__qualname__}() takes each of {fields} once")
+        bound.update(named)
+        return [bound[name] for name in fields]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -459,6 +459,22 @@ class TestNoncontextualValueMap:
         with pytest.raises(ValueError, match="out of range"):
             noncontextual_value_map(hv, nakamura, Z)
 
+    # Checked where the hidden variable is built: True would run as lam = 1,
+    # and 0.5 would fail later as a tuple index inside the value map.
+    @pytest.mark.parametrize(
+        "lam", [True, False, 0.5, 1.0, -1, np.int64(1), "0", None], ids=repr
+    )
+    def test_lambda_checked_where_built(self, lam):
+        with pytest.raises(ValueError, match="lam must be an int >= 0"):
+            HiddenVariable(lam, Z)
+
+    @pytest.mark.parametrize(
+        "m", [(0.0, 0.0, 1.0), np.array([0.0, 0.0, 1.0]), None], ids=["tuple", "array", "None"]
+    )
+    def test_sphere_vector_checked_where_built(self, m):
+        with pytest.raises(ValueError, match="m must be a BlochVector"):
+            HiddenVariable(0, m)
+
     def test_same_element_can_take_context_dependent_values(self, cabello):
         # The restriction to element labels is contextual: some sampled hidden
         # variable gives one element different values in its two contexts.

@@ -141,6 +141,13 @@ class TestStructure:
         assert set(sub.elements) == {"A+", "A-", "B+", "B-"}
         assert sub.name == "nakamura[0]"
 
+    # Unchecked, -1 would keep the last context under the name cabello[-1],
+    # 7 would raise a bare IndexError and [0, 0] would list context 1 twice.
+    @pytest.mark.parametrize("indices", [[-1], [5], [7], [0, 0], [2, 1, 2]], ids=str)
+    def test_restrict_rejects_bad_indices(self, cabello, indices):
+        with pytest.raises(ValueError, match="invalid context index"):
+            cabello.restrict(indices)
+
     def test_model_tables_match_families(self, nakamura, cabello):
         # The CLI range-checks --context and builds the ks-search --model
         # hypergraph from these rows without building a family.

@@ -3,9 +3,12 @@
 Every type compares, hashes, shows and pickles by its fields in declaration
 order, as a frozen dataclass does: equal to a fresh construction from the
 same fields, never to an instance of another class with the same values,
-immutable, and hashable exactly when every field is.
+immutable, and hashable exactly when every field is. Each type is built
+from its one field list, ``_fields``, and a call that does not bind every
+field exactly once raises ``TypeError``.
 """
 
+import inspect
 import pickle
 
 import pytest
@@ -148,6 +151,46 @@ def test_pickle_round_trip(case):
     assert type(loaded) is type(value)
     assert loaded == value
     assert repr(loaded) == repr(value)
+
+
+def test_construction_binds_every_field_once(case):
+    value, fields, _ = case
+    cls, values = type(value), _values(value, fields)
+    calls = {
+        "missing field": lambda: cls(*values[:-1]),
+        "extra positional value": lambda: cls(*values, None),
+        "unknown keyword": lambda: cls(*values, extra=None),
+        "repeated field": lambda: cls(*values, **{fields[0]: values[0]}),
+        "missing keyword": lambda: cls(**dict(zip(fields[1:], values[1:]))),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(name)
+
+
+#: The types that validate their fields and so keep their own __init__.
+VALIDATING = {
+    "BlochVector", "PovmElement", "PovmFamily", "ContextHypergraph", "DilationScheme",
+    "HiddenVariable",
+}
+
+
+def test_own_init_takes_the_fields_in_order(case):
+    # __reduce__ rebuilds positionally, so the parameters must be _fields.
+    value, fields, _ = case
+    cls = type(value)
+    assert ("__init__" in vars(cls)) == (cls.__name__ in VALIDATING)
+    if cls.__name__ in VALIDATING:
+        assert list(inspect.signature(cls).parameters) == list(fields)
+
+
+def test_slots_hold_the_fields(case):
+    value, fields, _ = case
+    cls = type(value)
+    assert "__slots__" in vars(cls)
+    assert set(fields) <= set(cls.__slots__)
+    assert hasattr(value, "__dict__") == (cls.__name__ == "PovmElement")
 
 
 @pytest.mark.parametrize(
