@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .tables import MAX_SAMPLES, MODEL_CONTEXTS
+from .tables import MAX_SAMPLES, MODEL_CONTEXTS, check_int
 
 if TYPE_CHECKING:  # imported for real inside the handlers
     from .bloch import BlochVector
@@ -53,11 +53,11 @@ def _bounded_int(name: str, low: int, high: float = float("inf")):
     ``UsageError``, so the message carries no "argument --flag:" prefix."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if not low <= value <= high:
-            bound = f">= {low}" if value < low else f"<= {high}"
-            raise UsageError(f"{name} must be {bound}, got {value}")
-        return value
+        value = int(text)  # its ValueError reaches argparse as "invalid int value"
+        try:
+            return check_int(name, value, low, high)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
     return parse

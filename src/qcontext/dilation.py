@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .bloch import ATOL, Entries
 from .povm import PovmFamily
-from .tables import Frozen
+from .tables import Frozen, check_int
 
 #: An extended projector |slot><slot| (x) V as its slot and V's entries.
 SlotProjector = tuple[int, Entries]
@@ -79,18 +79,14 @@ class DilationScheme(Frozen):
         context_index: int,
         projectors: tuple[tuple[str, SlotProjector], ...],
     ):
-        if ancilla_dim < 1:
-            raise ValueError(f"invalid scheme: ancilla dimension {ancilla_dim} has no slot")
+        check_int("invalid scheme: ancilla dimension", ancilla_dim, 1)
+        check_int("invalid scheme: context index", context_index)
         seen = set()
         for label, (slot, _) in projectors:
             if label in seen:
                 raise ValueError(f"invalid scheme: label {label!r} has more than one projector")
             seen.add(label)
-            if slot not in range(ancilla_dim):
-                raise ValueError(
-                    f"invalid scheme: {label} slot {slot!r} outside an ancilla of "
-                    f"dimension {ancilla_dim}"
-                )
+            check_int(f"invalid scheme: {label} slot", slot, 0, ancilla_dim - 1)
         super().__init__(ancilla_dim, context_index, projectors)
 
 
@@ -111,6 +107,8 @@ def sequential_dilation(
         raise ValueError(f"invalid context: context {context_index + 1} has no pairs to dilate")
     if slot_order is None:
         slot_order = tuple(range(n_slots))
+    for pair_index in slot_order:
+        check_int("slot order entry", pair_index, 0, n_slots - 1)
     if sorted(slot_order) != list(range(n_slots)):
         raise ValueError(f"invalid context: slot order {slot_order!r} is not a permutation")
     projectors = tuple(
@@ -157,8 +155,7 @@ def verify_dilation(
 ) -> DilationReport:
     """Check a scheme against its context: recovered elements, mutual
     orthogonality, and completeness on the extended space."""
-    if not 0 <= context_index < len(family.contexts):
-        raise ValueError(f"invalid context index {context_index}")
+    check_int("context index", context_index, 0, len(family.contexts) - 1)
     context = family.contexts[context_index]
     scheme_labels = [label for label, _ in scheme.projectors]
     if sorted(scheme_labels) != sorted(context):

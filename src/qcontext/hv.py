@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from .bloch import BlochVector, projector_entries
 from .povm import PovmFamily, born_probabilities
-from .tables import MAX_SAMPLES, Frozen
+from .tables import MAX_SAMPLES, Frozen, check_int
 
 if TYPE_CHECKING:  # imported for real inside the array functions
     import numpy as np
@@ -74,9 +74,7 @@ class HiddenVariable(Frozen):
     __slots__ = _fields = ("lam", "m")
 
     def __init__(self, lam: int, m: BlochVector):
-        # bool is an int subclass: True would otherwise run as lam = 1.
-        if isinstance(lam, bool) or not isinstance(lam, int) or lam < 0:
-            raise ValueError(f"hidden variable lam must be an int >= 0, got {lam!r}")
+        check_int("hidden variable lam", lam)
         if not isinstance(m, BlochVector):
             raise ValueError(f"hidden variable m must be a BlochVector, got {type(m).__name__}")
         super().__init__(lam, m)
@@ -162,21 +160,10 @@ def _sample(
 ) -> tuple[np.ndarray, int]:
     """Merged counts over the slots' "+" directions; shard k draws from
     substream (seed, k) alone, so the counts are the same for any worker count."""
-    # bool is an int subclass, so True would otherwise run one sample (or seed
-    # 1, or one worker). A numpy integer is refused too: the report stores
-    # samples and seed, and json cannot write one. A seed of None would run on
-    # fresh OS entropy.
-    for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    # Before any shard is planned; a seed of None would run on fresh entropy.
+    check_int("samples", samples, 1, MAX_SAMPLES)
+    check_int("seed", seed)
+    check_int("workers", workers, 1)
     import numpy as np
 
     dirs = np.array([(v.x, v.y, v.z) for v in plus_dirs])

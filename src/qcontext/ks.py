@@ -24,11 +24,12 @@ SEARCH_LIMIT = 200_000
 
 
 class ContextHypergraph(Frozen):
-    """Abstract element-context incidence structure."""
+    """Abstract element-context incidence structure, its fields kept as tuples."""
 
     __slots__ = _fields = ("elements", "contexts")
 
     def __init__(self, elements: tuple[str, ...], contexts: tuple[tuple[str, ...], ...]):
+        elements, contexts = tuple(elements), tuple(map(tuple, contexts))
         pool = set(elements)
         if len(pool) != len(elements):
             raise ValueError("duplicate element labels")
@@ -43,7 +44,7 @@ class ContextHypergraph(Frozen):
     @classmethod
     def from_contexts(cls, contexts) -> "ContextHypergraph":
         """Build from context label lists; elements in first-appearance order."""
-        contexts = tuple(tuple(c) for c in contexts)
+        contexts = tuple(tuple(c) for c in contexts)  # read an iterator once
         seen = dict.fromkeys(label for context in contexts for label in context)
         return cls(elements=tuple(seen), contexts=contexts)
 

@@ -23,7 +23,7 @@ from .bloch import (
     is_density_operator,
     projector_entries,
 )
-from .tables import MODEL_CONTEXTS, Frozen
+from .tables import MODEL_CONTEXTS, Frozen, check_int
 
 Context = tuple[str, ...]
 
@@ -120,8 +120,8 @@ class PovmFamily(Frozen):
         are validated on first use and kept in the family's memo; a context
         that fails validation is never kept, so it raises on every call.
         """
-        if not 0 <= context_index < len(self.contexts):
-            raise ValueError(f"invalid context index {context_index}")
+        # Checked before the memo lookup: True would find context 2's entry.
+        check_int("context index", context_index, 0, len(self.contexts) - 1)
         if context_index in self._pairs:
             return self._pairs[context_index]
         context = self.contexts[context_index]
@@ -142,8 +142,7 @@ class PovmFamily(Frozen):
     def restrict(self, context_indices: Sequence[int]) -> "PovmFamily":
         """Sub-family keeping only the selected contexts and their elements."""
         for n, i in enumerate(context_indices):
-            if not 0 <= i < len(self.contexts):
-                raise ValueError(f"invalid context index {i}")
+            check_int("context index", i, 0, len(self.contexts) - 1)
             if i in context_indices[:n]:
                 raise ValueError(f"invalid context index {i}: repeated")
         kept = tuple(self.contexts[i] for i in context_indices)

@@ -1,11 +1,13 @@
-"""Plain constants and the value-type base: the built-in context tables, the
-sample ceiling and ``Frozen``.
+"""Plain constants, the integer rule and the value-type base: the built-in
+context tables, the sample ceiling, ``check_int`` and ``Frozen``.
 
 The CLI checks ``--model``, ``--context`` and ``--samples`` against these
 and builds the ``ks-search --model`` hypergraph from them without building a
 family: a usage error never executes ``povm``, and ``ks-search --model``
 executes neither ``bloch`` nor ``povm``. ``povm`` builds the two families
-from the same rows, and ``hv`` enforces the same ceiling.
+from the same rows, and ``hv`` enforces the same ceiling. Every count or
+index argument, in the layers and the CLI's bounded flags, goes through
+``check_int``; no other module tests for a bool or an exact int.
 
 Every layer's value types derive from ``Frozen``, which builds each of them
 from its one field list, ``_fields``. It is kept here because every layer
@@ -41,6 +43,19 @@ MODEL_CONTEXTS = {
 #: whole before any work starts, so the ceiling keeps that plan (and the
 #: pool's futures) at 2^15 entries; int64 counts stay far from overflow.
 MAX_SAMPLES = 1 << 32
+
+
+def check_int(name: str, value, low: int = 0, high: float = float("inf")) -> int:
+    """``value`` if it is a Python int in [low, high], else a ``ValueError``
+    naming the argument: True would run as 1, and the reports store these
+    values, where json cannot write a numpy integer."""
+    if value.__class__ is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
 
 
 class Frozen:

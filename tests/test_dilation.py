@@ -105,12 +105,16 @@ class TestSequentialDilation:
                 assert report.passed(), report.to_dict()
 
     def test_invalid_context_index(self, nakamura):
-        with pytest.raises(ValueError, match="invalid context"):
-            sequential_dilation(nakamura, 7)
+        # True and a numpy integer would run as context 2; 1.0 failed as a tuple index.
+        for index in (7, True, np.int64(1), 1.0):
+            with pytest.raises(ValueError, match="context index must be (an int|<= 2)"):
+                sequential_dilation(nakamura, index)
 
     def test_invalid_slot_order(self, nakamura):
-        with pytest.raises(ValueError, match="permutation"):
-            sequential_dilation(nakamura, 0, slot_order=(0, 0))
+        # Each of the last three sorts as the permutation (0, 1).
+        for slot_order in ((0, 0), (True, 0), (np.int64(1), 0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="permutation|slot order entry must be an int"):
+                sequential_dilation(nakamura, 0, slot_order=slot_order)
 
     def test_empty_context_rejected(self):
         # PovmFamily allows an empty context, but there is nothing to dilate.
@@ -121,15 +125,26 @@ class TestSequentialDilation:
     def test_slot_outside_ancilla_rejected(self, nakamura):
         # |1><1| (x) V does not live on a one-slot ancilla's space.
         scheme = sequential_dilation(nakamura, 0)
-        with pytest.raises(
-            ValueError, match=r"invalid scheme: B\+ slot 1 outside an ancilla of dimension 1"
-        ):
+        v = scheme.projectors[0][1][1]
+        with pytest.raises(ValueError, match=r"invalid scheme: B\+ slot must be <= 0, got 1"):
             DilationScheme(1, scheme.context_index, scheme.projectors)
-        with pytest.raises(ValueError, match="invalid scheme: A\\+ slot -1"):
-            DilationScheme(2, 0, (("A+", (-1, scheme.projectors[0][1][1])),))
+        with pytest.raises(ValueError, match=r"invalid scheme: A\+ slot must be >= 0, got -1"):
+            DilationScheme(2, 0, (("A+", (-1, v)),))
         # Without a slot there is no ancilla state to trace out against.
-        with pytest.raises(ValueError, match="invalid scheme: ancilla dimension 0 has no slot"):
+        with pytest.raises(
+            ValueError, match="invalid scheme: ancilla dimension must be >= 1, got 0"
+        ):
             DilationScheme(0, 0, ())
+        with pytest.raises(ValueError, match="invalid scheme: context index must be >= 0, got -1"):
+            DilationScheme(2, -1, ())
+        # Each would otherwise pass as 1.
+        for bad in (True, np.int64(1), 1.0):
+            with pytest.raises(ValueError, match=r"invalid scheme: A\+ slot must be an int"):
+                DilationScheme(2, 0, (("A+", (bad, v)),))
+            with pytest.raises(ValueError, match="invalid scheme: ancilla dimension must be an int"):
+                DilationScheme(bad, 0, ())
+            with pytest.raises(ValueError, match="invalid scheme: context index must be an int"):
+                DilationScheme(2, bad, ())
 
 
 class TestVerifyDilation:
@@ -174,10 +189,10 @@ class TestVerifyDilation:
         reference = _reference_verify_dilation(_embed(broken), nakamura, 0)
         assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
 
-    @pytest.mark.parametrize("index", [-3, -1, 3])
+    @pytest.mark.parametrize("index", [-3, -1, 3, True, np.int64(1), 1.0], ids=repr)
     def test_context_index_out_of_range(self, nakamura, index):
         scheme = sequential_dilation(nakamura, 0)
-        with pytest.raises(ValueError, match=f"invalid context index {index}"):
+        with pytest.raises(ValueError, match="context index must be (an int|>= 0|<= 2)"):
             verify_dilation(scheme, nakamura, index)
 
 

@@ -132,9 +132,9 @@ class TestBellMarginal:
 
     def test_rejects_samples_above_ceiling(self, nakamura):
         # Refused before the shard plan is built, so nothing is allocated.
-        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        with pytest.raises(ValueError, match=f"samples must be <= {MAX_SAMPLES}"):
             bell_marginal_estimate(Z, Z, MAX_SAMPLES + 1, seed=1)
-        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        with pytest.raises(ValueError, match=f"samples must be <= {MAX_SAMPLES}"):
             simulate_povm(nakamura, 0, Z, MAX_SAMPLES + 1, seed=1, workers=2)
 
 
@@ -213,6 +213,11 @@ class TestSimulatePovm:
         expected = {"A+": 0.5, "A-": 0.0, "B+": 0.375, "B-": 0.125}
         for label, born in zip(report.labels, report.born):
             assert born == pytest.approx(expected[label], abs=1e-12)
+
+    def test_rejects_numpy_context_index(self, cabello):
+        # The report stores the index, and json cannot write a numpy integer.
+        with pytest.raises(ValueError, match="context index must be an int, got int64"):
+            simulate_povm(cabello, np.int64(1), Z, 1000, seed=1)
 
     def test_seed_determinism(self, cabello):
         a = simulate_povm(cabello, 3, BlochVector.normalized(1, -2, 0.5), 200_000, seed=9)
@@ -465,7 +470,7 @@ class TestNoncontextualValueMap:
         "lam", [True, False, 0.5, 1.0, -1, np.int64(1), "0", None], ids=repr
     )
     def test_lambda_checked_where_built(self, lam):
-        with pytest.raises(ValueError, match="lam must be an int >= 0"):
+        with pytest.raises(ValueError, match="hidden variable lam must be (an int|>= 0)"):
             HiddenVariable(lam, Z)
 
     @pytest.mark.parametrize(

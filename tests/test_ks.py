@@ -376,6 +376,14 @@ class TestHypergraphParsing:
         assert h.elements == ("b", "a", "c")
         assert h.contexts == tuple(rows)
 
+    def test_list_built_equals_tuple_built(self):
+        # Stored as given, lists left the hypergraph unequal and unhashable.
+        from_lists = ContextHypergraph(["a", "b", "c"], [["a", "b"], ["b", "c"]])
+        from_tuples = ContextHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert enumerate_assignments(from_lists) == enumerate_assignments(from_tuples)
+
     def test_unknown_labels_rejected_in_constructor(self):
         with pytest.raises(ValueError, match="unknown"):
             ContextHypergraph(elements=("a",), contexts=(("a", "b"),))

@@ -143,3 +143,46 @@ def _imports_numpy(path: Path) -> bool:
 def test_only_hv_imports_numpy():
     sources = sorted((SRC_DIR / "qcontext").glob("*.py"))
     assert [path.name for path in sources if _imports_numpy(path)] == ["hv.py"]
+
+
+def _is_name(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _int_rule_tests(path: Path) -> list[str]:
+    """The enclosing function of each ``isinstance(..., bool)`` test and each
+    ``... is int`` or ``... is not int`` comparison in the file."""
+    tree = ast.parse(path.read_text())
+    # ast.walk visits an outer function before its inner ones, so the
+    # innermost function owns each node.
+    owner = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(function), function.name))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_name(node.func, "isinstance"):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(_is_name(kind, "bool") for kind in kinds):
+                found.append(owner.get(node, "<module>"))
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            if any(_is_name(side, "int") for side in [node.left, *node.comparators]):
+                found.append(owner.get(node, "<module>"))
+    return found
+
+
+def test_only_tables_tests_for_bool_or_exact_int():
+    # tables.check_int is the one rule for an integer argument. A JSON number
+    # may be a float, so povm._is_finite_number keeps its own bool test.
+    offences = {
+        (path.name, function)
+        for path in sorted((SRC_DIR / "qcontext").glob("*.py"))
+        if path.name != "tables.py"
+        for function in _int_rule_tests(path)
+    }
+    assert offences == {("povm.py", "_is_finite_number")}
+    # The rule itself is found where it lives.
+    assert _int_rule_tests(SRC_DIR / "qcontext" / "tables.py") == ["check_int"]

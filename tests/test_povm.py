@@ -119,8 +119,9 @@ class TestStructure:
         assert first == (("A+", "A-"), ("B+", "B-"))
         for _ in range(3):
             assert family.context_pairs(0) is first
-            for index in (-1, 3):
-                with pytest.raises(ValueError, match=f"invalid context index {index}"):
+            # True would find context 2's memo entry.
+            for index in (-1, 3, True, np.int64(1), 1.0):
+                with pytest.raises(ValueError, match="context index must be (an int|>= 0|<= 2)"):
                     family.context_pairs(index)
             with pytest.raises(ValueError, match="antipodal"):
                 family.context_pairs(1)
@@ -142,10 +143,17 @@ class TestStructure:
         assert sub.name == "nakamura[0]"
 
     # Unchecked, -1 would keep the last context under the name cabello[-1],
-    # 7 would raise a bare IndexError and [0, 0] would list context 1 twice.
-    @pytest.mark.parametrize("indices", [[-1], [5], [7], [0, 0], [2, 1, 2]], ids=str)
+    # 7 would raise a bare IndexError and [0, 0] would list context 1 twice;
+    # True and a numpy integer would keep context 2, and 1.0 fail as an index.
+    @pytest.mark.parametrize(
+        "indices",
+        [[-1], [5], [7], [0, 0], [2, 1, 2], [True], [np.int64(1)], [1.0]],
+        ids=str,
+    )
     def test_restrict_rejects_bad_indices(self, cabello, indices):
-        with pytest.raises(ValueError, match="invalid context index"):
+        with pytest.raises(
+            ValueError, match=r"context index (must be (an int|>= 0|<= 4)|\d+: repeated)"
+        ):
             cabello.restrict(indices)
 
     def test_model_tables_match_families(self, nakamura, cabello):
