@@ -270,7 +270,8 @@ def cmd_feasibility(args) -> int:
     family = _load_model(args.model)
     certificate = one_to_one_feasibility(family)
     if certificate is None:
-        verdict = {"family": family.name, "verdict": "feasible", "element": None, "steps": []}
+        # No rule fired: that proves nothing, so the verdict is undecided.
+        verdict = {"family": family.name, "verdict": "undecided", "element": None, "steps": []}
     else:
         verdict = certificate.to_dict()
     _emit_json({"config": _config(args), **verdict}, args.out)

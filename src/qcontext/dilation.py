@@ -245,6 +245,9 @@ def count_consistent_slot_assignments(family: PovmFamily) -> int:
     such a map exists, so a zero count is the exhaustive-slot-assignment form
     of the different-extensions result.
 
+    A pair's key is its two labels, sorted, so a context that lists a pair
+    as (A-, A+) names the same pair as one that lists (A+, A-).
+
     Such a map is an exact cover, counted by ks.enumerate_assignments: one
     element "slot:key" per pair key and slot below its least context pair count,
     one context per key (it takes one slot) and one per (context, slot) (its
@@ -253,8 +256,11 @@ def count_consistent_slot_assignments(family: PovmFamily) -> int:
     """
     from .ks import ContextHypergraph, enumerate_assignments
 
-    context_keys = [[p for p, _ in family.context_pairs(i)] for i in range(len(family.contexts))]
-    limit: dict[str, int] = {}
+    context_keys = [
+        [tuple(sorted(pair)) for pair in family.context_pairs(i)]
+        for i in range(len(family.contexts))
+    ]
+    limit: dict[tuple[str, str], int] = {}
     for keys in context_keys:
         for key in keys:
             limit[key] = min(limit.get(key, len(keys)), len(keys))

@@ -85,8 +85,11 @@ class PovmFamily(Frozen):
 
     def __init__(self, name: str, elements: dict[str, PovmElement], contexts: tuple[Context, ...]):
         # A copy: the caller's dict could otherwise gain or lose an element
-        # behind the recorded incidence, and move the hash.
+        # behind the recorded incidence, and move the hash. Contexts become
+        # tuples, so a family built from lists equals and hashes like one
+        # built from tuples.
         elements = dict(elements)
+        contexts = tuple(map(tuple, contexts))
         holders = {label: [] for label in elements}
         for index, context in enumerate(contexts):
             if len(set(context)) != len(context):
@@ -222,7 +225,7 @@ class PovmFamily(Frozen):
         if not contexts:
             raise ValueError("'contexts' must list at least one context")
         try:
-            return cls(name=name, elements=elements, contexts=tuple(tuple(c) for c in contexts))
+            return cls(name=name, elements=elements, contexts=contexts)
         except KeyError as exc:  # a context names a label no element has
             raise ValueError(exc.args[0]) from exc
 

@@ -1,30 +1,18 @@
 import itertools
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+# The subprocess runner lives with the golden cases; tests import it from here.
+from golden import SRC_DIR, run_probe
+
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
-
-
-def run_probe(code: str, *args: str, cwd=None, stdin: str = "") -> subprocess.CompletedProcess:
-    """Run ``python -c code args...`` in a fresh interpreter that imports
-    qcontext from this checkout, with ``stdin`` as its standard input."""
-    path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=env, cwd=cwd, input=stdin, capture_output=True, text=True,
-    )
 
 
 def signed_axes() -> list:

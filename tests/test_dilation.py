@@ -548,15 +548,16 @@ def _reference_extension_audit(family, schemes) -> tuple[AuditEntry, ...]:
 
 
 def _reference_count_consistent_slot_assignments(family) -> int:
-    """The slot-map count by its own backtracking search over pair keys."""
-    all_pairs = [family.context_pairs(i) for i in range(len(family.contexts))]
-    keys = sorted({plus for pairs in all_pairs for plus, _ in pairs})
-    containing = {
-        key: [i for i, pairs in enumerate(all_pairs) if any(p == key for p, _ in pairs)]
-        for key in keys
-    }
+    """The slot-map count by its own backtracking search over pair keys, a
+    pair's key being its labels, sorted."""
+    all_pairs = [
+        [tuple(sorted(pair)) for pair in family.context_pairs(i)]
+        for i in range(len(family.contexts))
+    ]
+    keys = sorted({key for pairs in all_pairs for key in pairs})
+    containing = {key: [i for i, pairs in enumerate(all_pairs) if key in pairs] for key in keys}
 
-    def extend(position: int, assigned: dict[str, int]) -> int:
+    def extend(position: int, assigned: dict[tuple[str, str], int]) -> int:
         if position == len(keys):
             return 1
         key = keys[position]
@@ -566,7 +567,7 @@ def _reference_count_consistent_slot_assignments(family) -> int:
             clash = any(
                 assigned.get(other) == slot
                 for c in containing[key]
-                for other, _ in all_pairs[c]
+                for other in all_pairs[c]
                 if other in assigned
             )
             if not clash:
@@ -732,6 +733,22 @@ class TestSlotCountMatchesReference:
         family = _hand_built(contexts)
         assert _reference_count_consistent_slot_assignments(family) == expected
         assert count_consistent_slot_assignments(family) == expected
+
+    @pytest.mark.parametrize(
+        "family,expected",
+        [(FAMILIES[0], 0), (FAMILIES[1], 0), (FAMILIES[0].restrict([0]), 2)],
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_count_ignores_pair_orientation_and_context_order(self, family, expected):
+        # Each context in turn lists its first pair as (minus, plus), and the
+        # contexts come in reverse order: the same pairs in the same contexts.
+        for flipped in range(len(family.contexts)):
+            contexts = list(family.contexts)
+            first, second, *rest = contexts[flipped]
+            contexts[flipped] = (second, first, *rest)
+            rewritten = PovmFamily(family.name, family.elements, contexts[::-1])
+            assert count_consistent_slot_assignments(rewritten) == expected, flipped
+            assert _reference_count_consistent_slot_assignments(rewritten) == expected, flipped
 
 
 class TestElementOperators:

@@ -389,6 +389,12 @@ class TestSerialization:
         assert reordered == nakamura
         assert hash(reordered) == hash(nakamura)
 
+    def test_list_built_equals_tuple_built(self, nakamura):
+        listed = PovmFamily(nakamura.name, nakamura.elements, [list(c) for c in nakamura.contexts])
+        assert listed.contexts == nakamura.contexts
+        assert listed == nakamura
+        assert hash(listed) == hash(nakamura)
+
     def test_document_field_names(self, nakamura):
         doc = nakamura.to_dict()
         assert set(doc) == {"name", "elements", "contexts"}
