@@ -100,18 +100,17 @@ def hermitian_min_eigenvalue(entries: Entries) -> float:
 
 def is_density_operator(entries: Entries) -> bool:
     """A 2x2 operator, given by its entries, that is Hermitian, of unit trace
-    and positive semidefinite, each to 1e-9.
+    and positive semidefinite, each to ``ATOL``.
 
     Each test holds only when its comparison is true, so a NaN entry fails.
     """
     a, b, c, d = entries
-    tol = 1e-9
     return (
-        abs(a - a.conjugate()) <= tol
-        and abs(b - c.conjugate()) <= tol
-        and abs(d - d.conjugate()) <= tol
-        and abs(a.real + d.real - 1.0) <= tol
-        and hermitian_min_eigenvalue(entries) >= -tol
+        abs(a - a.conjugate()) <= ATOL
+        and abs(b - c.conjugate()) <= ATOL
+        and abs(d - d.conjugate()) <= ATOL
+        and abs(a.real + d.real - 1.0) <= ATOL
+        and hermitian_min_eigenvalue(entries) >= -ATOL
     )
 
 

@@ -11,24 +11,25 @@ One kernel, ``_povm_shard``, samples a context of N pairs; the Bell marginal
 is its one-pair case. One runner, ``_sample``, shards and merges the counts.
 The kernel draws a Gaussian triple z per sample, so m = z/|z| is uniform on
 the sphere, but it never builds m: for |z| > 0 the sign of (z/|z| + n).v is
-the sign of z.v + |z|(n.v), so only the row norms are needed; |z| is the
-square root of square(z) @ (1, 1, 1). It works through a shard in blocks of
-``_BLOCK`` samples, drawing the same numbers as one whole-shard draw and
-doing the same arithmetic on each sample at any block size. (numpy computes
-a one-row block's products as a dot, not a matrix-vector product, which can
-round a last bit differently; a one-sample last block is the only such
-case.) A block allocates nothing: it draws z into scratch made once per shard,
-writes each slot's projections z.v into one row of another, picks sample
-i's own with one ``take`` at flat index lam * (row length) + i, and writes
-every later step into scratch with ``out=``. The shard counts its "-" and
-boundary masks once, after its last block.
+the sign of z.v + |z|(n.v), so only the row norms are needed. Each sample is
+projected onto its own slot's direction alone: the kernel takes row lam of
+the "+" directions for every sample, multiplies it by z in place and sums
+each row, so a block makes the same 14 numpy calls for any N. Both row
+sums, z.v and |z|^2, are products with (1, 1, 1), which add a row's three
+terms in order; a one-row block, which numpy computes as a dot rather than
+a matrix-vector product, added them the same way on every row tried. It
+works through a shard in blocks of ``_BLOCK`` samples, drawing the same
+numbers as one whole-shard draw and doing the same arithmetic on each
+sample at any block size. A block allocates nothing: it draws z into
+scratch made once per shard and writes every later step into scratch with
+``out=``. The shard counts its "-" and boundary masks once, after its last
+block.
 
 The runner runs a call's shards on a thread pool. numpy releases the GIL in
-the Gaussian draw and in the matrix-vector products, which do most of a
-shard's work, so two threads overlap on two cores with no fork and no
-pickling. Every numpy call also drops and retakes the GIL, and under the
-pool each handoff can cost a context switch, so the block is as large as
-the cache allows.
+the Gaussian draw, which does most of a shard's work, and in the row sums,
+so two threads overlap on two cores with no fork and no pickling. Every
+numpy call also drops and retakes the GIL, and under the pool each handoff
+can cost a context switch, so the block is as large as the cache allows.
 
 This is the one module that knows numpy, and its array functions import it
 when called, so ``noncontextual_value_map`` and the report types load none.
@@ -43,7 +44,7 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .bloch import BlochVector, projector_entries
+from .bloch import ATOL, BlochVector, projector_entries
 from .povm import PovmFamily, born_probabilities
 from .tables import MAX_SAMPLES, Frozen, check_int
 
@@ -58,9 +59,9 @@ SHARD_SIZE = 1 << 17
 #: each of which drops and retakes the GIL, and two pool threads contend for
 #: it at every call: a 4e6-sample op at workers=2 made about 2,500 voluntary
 #: context switches at 1 << 12 and about 1,000 at 1 << 13. The scratch every
-#: block reuses (192 KiB for z, 64-256 KiB of projections for 1-4 slots,
-#: 64 KiB per sample vector) stays in cache: at workers=1 a shard runs 1-5%
-#: slower than at 1 << 12, but 10-18% slower at 1 << 14.
+#: block reuses (nine float rows, 576 KiB: 192 KiB each for z and the taken
+#: directions, 64 KiB per sample vector) stays in cache: at workers=1 a shard
+#: ran 1-5% slower than at 1 << 12, but 10-18% slower at 1 << 14.
 _BLOCK = 1 << 13
 #: Largest |z| of a passing simulation: the 5-sigma acceptance rule.
 Z_LIMIT = 5.0
@@ -95,24 +96,20 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
     rng = _shard_rng(seed, shard_index)
     # integers(0, 1, ...) draws nothing, so a one-slot shard draws z alone.
     lams = rng.integers(0, n_slots, size=count)
-    # Float, so it can be taken into a float buffer: integer directions give int64.
-    n_dots = (plus_dirs @ n_arr).astype(float)
+    n_dots = plus_dirs @ n_arr
     size = min(_BLOCK, count)
     # Scratch made once per shard, so a block allocates nothing. The float
-    # rows hold z (three rows' worth), one row per slot k of the block's
-    # projections onto slot k's "+" direction, sample i's own projection, |z|
-    # and n.d. They are one allocation: as separate buffers above malloc's
-    # mmap threshold they were mapped and page-faulted afresh on every call
-    # (155 minor faults per 8000-sample call); one larger block raises glibc's
-    # dynamic threshold, so later calls reuse heap pages. flat holds sample
-    # i's flat index lam[i] * width + i. The "-" and boundary masks span the
-    # shard and are counted once, after its last block.
-    scratch = np.empty((6 + n_slots, size))
-    z_buf, proj_buf = scratch[:3].reshape(-1), scratch[3 : 3 + n_slots].reshape(-1)
-    signed_buf, r_buf, nd_buf = scratch[3 + n_slots :]
-    flat_buf = np.empty(size, dtype=np.intp)
+    # rows hold z (three rows' worth), each sample's own "+" direction (three
+    # more), its projection, |z| and n.d. They are one allocation: as separate
+    # buffers above malloc's mmap threshold they were mapped and page-faulted
+    # afresh on every call (155 minor faults per 8000-sample call); one larger
+    # block raises glibc's dynamic threshold, so later calls reuse heap pages.
+    # The "-" and boundary masks span the shard and are counted once, after
+    # its last block.
+    scratch = np.empty((9, size))
+    z_buf, d_buf = scratch[:3].reshape(-1), scratch[3:6].reshape(-1)
+    signed_buf, r_buf, nd_buf = scratch[6:]
     minus_all, zero_all = np.empty((2, count), dtype=bool)
-    offsets = np.arange(size)
     ones = np.ones(3)
     width = 0
     for start in range(0, count, _BLOCK):
@@ -121,22 +118,16 @@ def _povm_shard(args) -> tuple[np.ndarray, int]:
         if len(lam) != width:
             # The first block, and a shorter last one, view the front of the scratch.
             width = len(lam)
-            z = z_buf[: width * 3].reshape(width, 3)
-            proj = proj_buf[: n_slots * width].reshape(n_slots, width)
-            flat, signed, r, nd = (b[:width] for b in (flat_buf, signed_buf, r_buf, nd_buf))
+            z, d = (b[: width * 3].reshape(width, 3) for b in (z_buf, d_buf))
+            signed, r, nd = (b[:width] for b in (signed_buf, r_buf, nd_buf))
         minus, zero = minus_all[start:stop], zero_all[start:stop]
         # Successive standard_normal calls continue one stream, so drawing z
         # block by block gives the same z as drawing it whole.
         rng.standard_normal(out=z)
         # m = z/|z| is never built: sign((z/|z| + n).d) = sign(z.d + |z|(n.d)).
-        # One matrix-vector product per slot: a gemm against plus_dirs.T would
-        # start BLAS threads inside every pool thread and oversubscribe the cores.
-        for k in range(n_slots):
-            np.matmul(z, plus_dirs[k], out=proj[k])
-        np.multiply(lam, width, out=flat)
-        np.add(flat, offsets[:width], out=flat)
-        # mode="raise" would write into a copy of signed; every index is in range.
-        proj.take(flat, out=signed, mode="clip")
+        # mode="raise" would write into a copy of d; every index is in range.
+        plus_dirs.take(lam, axis=0, out=d, mode="clip")
+        np.matmul(np.multiply(d, z, out=d), ones, out=signed)
         # z is spent once projected, so its squares overwrite it.
         np.matmul(np.square(z, out=z), ones, out=r)
         np.sqrt(r, out=r)
@@ -166,8 +157,10 @@ def _sample(
     check_int("workers", workers, 1)
     import numpy as np
 
-    dirs = np.array([(v.x, v.y, v.z) for v in plus_dirs])
-    n_arr = np.array((n.x, n.y, n.z))
+    # Float64 once here: an integer direction such as BlochVector(0, 0, 1)
+    # would give int64 rows, which the kernel cannot take into float scratch.
+    dirs = np.array([(v.x, v.y, v.z) for v in plus_dirs], dtype=float)
+    n_arr = np.array((n.x, n.y, n.z), dtype=float)
     tasks = [
         (dirs, n_arr, seed, k, min(SHARD_SIZE, samples - start))
         for k, start in enumerate(range(0, samples, SHARD_SIZE))
@@ -248,6 +241,12 @@ class SimulationReport(Frozen):
 
 
 def _z_score(freq: float, p: float, samples: int) -> float:
+    # A Born value within ATOL of 0 or 1 is that value: the 2x2 arithmetic
+    # leaves some a few 1e-17 below 0, such as cabello's at each antipode.
+    if abs(p) <= ATOL:
+        p = 0.0
+    elif abs(p - 1.0) <= ATOL:
+        p = 1.0
     if 0.0 < p < 1.0:
         return (freq - p) * math.sqrt(samples / (p * (1.0 - p)))
     return 0.0 if freq == p else math.inf

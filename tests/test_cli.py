@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from qcontext import nakamura_family
+from qcontext import cabello_family, nakamura_family
 from qcontext.cli import main
 from qcontext.hv import MAX_SAMPLES
 
@@ -310,6 +310,22 @@ class TestSimulate:
         assert line == (
             f"qcontext: error: samples must be <= {MAX_SAMPLES}, got 99999999999999999999"
         )
+
+    @pytest.mark.parametrize("label", list(cabello_family().elements))
+    def test_state_antipodal_to_an_element_passes(self, capsys, label):
+        # The element's Born value rounds to a few 1e-17 below 0 and the
+        # model never fires it, so its z-score is 0, not Infinity.
+        cabello = cabello_family()
+        v = cabello.elements[label].direction
+        state = f"--state={-v.x!r},{-v.y!r},{-v.z!r}"
+        for context in cabello.element_contexts(label):
+            code, out = run_cli(
+                capsys, "simulate", "--model", "cabello", "--context", str(context + 1),
+                state, "--samples", "20000", "--seed", "1",
+            )
+            rows = json.loads(out, parse_constant=_reject_constant)["report"]["rows"]
+            assert code == 0, (label, context)
+            assert [row["zscore"] for row in rows if row["label"] == label] == [0.0]
 
 
 class TestUsageErrors:

@@ -15,6 +15,7 @@ from qcontext import (
     DilationReport,
     DilationScheme,
     PovmElement,
+    born_probabilities,
     cabello_family,
     check_completeness,
     count_consistent_slot_assignments,
@@ -26,7 +27,7 @@ from qcontext import (
     verify_dilation,
 )
 from qcontext import ks
-from qcontext.bloch import BlochVector
+from qcontext.bloch import BlochVector, projector_entries
 from qcontext.dilation import (
     RULE_CONFINEMENT,
     RULE_ORTHOGONALITY,
@@ -1127,3 +1128,73 @@ class TestRegularGraphFamilies:
         else:
             validate_certificate(cert, family)
             assert [s for s in cert.steps if s.rule == RULE_CONFINEMENT][-1].conclusion == final
+
+
+# --- rewriting a family: new labels, contexts in another order, each
+# context's pairs in another order and any pair listed (minus, plus). The
+# same letters in the same contexts, so every invariant below must hold.
+
+REWRITE_FAMILIES = (
+    *FAMILIES,
+    *(FAMILIES[0].restrict(order) for order in ([0], [0, 1], [2, 1])),
+    *(FAMILIES[1].restrict(order) for order in ([0], [0, 1], [4, 2, 0])),
+    *(_graph_family(name, edges) for name, (edges, *_) in REGULAR_GRAPHS.items()),
+)
+_STATE = projector_entries(BlochVector.normalized(0.3, -0.5, 0.8))
+
+
+@st.composite
+def rewritten_families(draw):
+    """A family of ``REWRITE_FAMILIES``, its rewriting and the label map."""
+    family = draw(st.sampled_from(REWRITE_FAMILIES))
+    labels = list(family.elements)
+    # "e10" sorts before "e2": the new names come in another string order.
+    names = draw(st.permutations([f"e{i}" for i in range(len(labels))]))
+    rename = dict(zip(labels, names))
+    contexts = []
+    for context in draw(st.permutations(family.contexts)):
+        pairs = draw(st.permutations([context[k : k + 2] for k in range(0, len(context), 2)]))
+        pairs = [pair[::-1] if draw(st.booleans()) else pair for pair in pairs]
+        contexts.append(tuple(rename[label] for pair in pairs for label in pair))
+    elements = {}
+    for label in draw(st.permutations(labels)):
+        element = family.elements[label]
+        elements[rename[label]] = PovmElement(rename[label], element.weight, element.direction)
+    return family, PovmFamily(f"{family.name}-rewritten", elements, contexts), rename
+
+
+def _rewrite_invariants(family):
+    verdict = ks.enumerate_assignments(ks.ContextHypergraph.from_contexts(family.contexts))
+    cert = one_to_one_feasibility(family)
+    if cert is not None:
+        validate_certificate(cert, family)
+    return (
+        verdict.valid_count,
+        verdict.colorable,
+        count_consistent_slot_assignments(family),
+        cert is None,
+    )
+
+
+def _born_by_label(family):
+    values = {}
+    for context in family.contexts:
+        born = born_probabilities((_STATE[:2], _STATE[2:]), [family.elements[l] for l in context])
+        values.update(zip(context, born))
+    return values
+
+
+class TestRewriteInvariants:
+    """What a family proves does not depend on how it is written."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rewritten_families())
+    def test_rewrite_keeps_every_invariant(self, case):
+        family, rewritten, rename = case
+        # The certificate of each is validated against its own family.
+        assert _rewrite_invariants(rewritten) == _rewrite_invariants(family)
+        born = _born_by_label(family)
+        assert _born_by_label(rewritten) == {rename[l]: p for l, p in born.items()}
+        # The completeness sums add in another order, so they are not bit-equal.
+        for context in rewritten.contexts:
+            assert check_completeness(context, rewritten) <= ATOL

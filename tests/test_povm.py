@@ -270,6 +270,8 @@ INVALID_STATES = [
     pytest.param([[0.5, 1], [0, 0.5]], id="non-hermitian"),
     pytest.param(np.eye(2), id="trace-2"),
     pytest.param([[1.5, 0], [0, -0.5]], id="negative-eigenvalue"),
+    # The state check uses the one tolerance, ATOL = 1e-12.
+    pytest.param([[0.5 + 1e-10, 0], [0, 0.5]], id="trace-off-by-1e-10"),
 ]
 
 
