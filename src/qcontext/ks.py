@@ -75,7 +75,8 @@ class ColorabilityVerdict(Frozen):
             "colorable": self.colorable,
             "valid_count": self.valid_count,
             "total_assignments": self.total_assignments,
-            "witness": self.witness,
+            # A copy, as every to_dict makes; {} is the witness of no elements.
+            "witness": None if self.witness is None else dict(self.witness),
             "obstruction": self.obstruction.to_dict() if self.obstruction else None,
         }
 

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from numbers import Number
+from types import MappingProxyType
 from typing import Sequence
 
 from .bloch import (
@@ -84,11 +85,11 @@ class PovmFamily(Frozen):
     __slots__ = (*_fields, "_incidence", "_pairs")
 
     def __init__(self, name: str, elements: dict[str, PovmElement], contexts: tuple[Context, ...]):
-        # A copy: the caller's dict could otherwise gain or lose an element
-        # behind the recorded incidence, and move the hash. Contexts become
-        # tuples, so a family built from lists equals and hashes like one
-        # built from tuples.
-        elements = dict(elements)
+        # A read-only view of a copy: neither the caller's dict nor the
+        # family's own can gain or lose an element behind the recorded
+        # incidence and move the hash. Contexts become tuples, so a family
+        # built from lists equals and hashes like one built from tuples.
+        elements = MappingProxyType(dict(elements))
         contexts = tuple(map(tuple, contexts))
         holders = {label: [] for label in elements}
         for index, context in enumerate(contexts):
@@ -103,9 +104,13 @@ class PovmFamily(Frozen):
         object.__setattr__(self, "_pairs", {})
 
     def __hash__(self) -> int:
-        # The field-wise hash would hash the elements dict; a frozenset of its
+        # The field-wise hash would hash the elements mapping; a frozenset of its
         # items agrees with ==, which compares dicts ignoring insertion order.
         return hash((self.name, frozenset(self.elements.items()), self.contexts))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; __init__ wraps the dict again.
+        return self.__class__, (self.name, dict(self.elements), self.contexts)
 
     def element_contexts(self, label: str) -> tuple[int, ...]:
         """Indices of the contexts containing the given element, ascending."""

@@ -2,15 +2,19 @@
 
 A row is one command line and what it must give: the exit code, stdout
 (a file in ``tests/pinned`` or nothing at all) and, for a usage error (exit
-2), a fragment of its one ``qcontext: error:`` line. An output change is
-pinned here and nowhere else. ``tests/test_golden.py`` runs every row twice:
-in-process through ``cli.main``, and in a fresh interpreter that runs the
-console-script body, through ``run_probe``.
+2), a fragment of its one ``qcontext: error:`` line. A pinned stdout also
+matches its command's schema (``SCHEMAS``), and no run imports the modules
+that ``blocked`` names for its row. An output change is pinned here and
+nowhere else. ``tests/test_golden.py`` runs every row twice: in-process
+through ``cli.main``, and in a fresh interpreter that runs the
+console-script body, through ``run_probe``, with the blocked modules set to
+None in ``sys.modules`` so that importing one is a traceback. It also
+validates each pinned file against its schema.
 
 This module imports only the standard library. Run as a script,
 ``python tests/golden.py`` runs every row that loads no numpy through
-``run_probe`` on the running interpreter, with no pytest, and exits 1 on the
-first failure.
+``run_console_script``, blocked imports included, on the running
+interpreter, with no pytest, and exits 1 on the first failure.
 """
 
 from __future__ import annotations
@@ -28,6 +32,17 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 #: The body of the installed ``qcontext`` console script.
 CONSOLE_SCRIPT = "import sys; from qcontext.cli import run; sys.exit(run())"
+
+#: The schema in ``schemas/`` of each command's report.
+SCHEMAS = {
+    "family": "family",
+    "check": "check",
+    "ks-search": "ks",
+    "simulate": "simulation",
+    "dilate": "dilation",
+    "audit": "audit",
+    "feasibility": "certificate",
+}
 
 USAGE_PREFIX = "qcontext: error: "
 
@@ -69,6 +84,13 @@ ROWS = (
     # config echoes the path as given, so it is given relative to the file.
     Row("ks-colorable", ("ks-search", "--hypergraph", "ks-colorable.txt"), 0,
         "ks-colorable.json", cwd=PINNED_DIR),
+    # A family read from a file or stdin checks as the built-in does; only
+    # the echoed source moves.
+    Row("check-file-nakamura", ("check", "--family-file", "family-nakamura.json"), 0,
+        "check-nakamura.json", cwd=PINNED_DIR, ignore=("model", "family_file")),
+    *(Row(f"check-stdin-{model}", ("check", "--family-file", "-"), 0, f"check-{model}.json",
+          stdin=(PINNED_DIR / f"family-{model}.json").read_text(), ignore=("model", "family_file"))
+      for model in ("nakamura", "cabello")),
     # The report goes to --out: this row pins the exit code of an empty family.
     Row("check-empty-family-stdin", ("check", "--family-file", "-", "--out", os.devnull), 1,
         stdin='{"name": "x", "elements": [], "contexts": []}'),
@@ -79,10 +101,21 @@ ROWS = (
     Row("simulate-cabello-workers-2", (*SIMULATE, "--model", "cabello", "--workers", "2"), 0,
         "simulate-cabello.json", ignore=("workers",)),
     _usage("context-not-int", *USAGE_SIMULATE, "--context", "x", stderr="--context"),
+    _usage("context-4", *USAGE_SIMULATE, "--context", "4",
+           stderr="context must be in 1..3 for nakamura, got 4"),
+    _usage("dilate-context-6", "dilate", "--model", "nakamura", "--context", "6",
+           stderr="context must be in 1..3 for nakamura, got 6"),
+    _usage("seed-negative", *USAGE_SIMULATE, "--seed", "-1", stderr="seed must be >= 0, got -1"),
     _usage("unknown-model", "family", "--model", "foo", stderr="--model"),
     _usage("workers-0", *USAGE_SIMULATE, "--workers", "0", stderr="workers must be >= 1"),
     _usage("samples-0", *USAGE_SIMULATE, "--samples", "0", stderr="samples must be >= 1"),
+    # Refused while argv is parsed: no shard plan is built.
+    _usage("samples-above-ceiling", *USAGE_SIMULATE, "--samples", "99999999999999999999",
+           stderr="samples must be <= 4294967296, got 99999999999999999999"),
     _usage("state-looks-like-flag", *USAGE_SIMULATE, "--state", "-0.5,0,1", stderr="--state"),
+    _usage("state-north", *USAGE_SIMULATE, "--state", "north,0,1", stderr="unparseable state"),
+    *(_usage(f"state-{name}", *USAGE_SIMULATE, f"--state={state}", stderr="invalid direction")
+      for name, state in (("zero", "0,0,0"), ("nan", "nan,0,1"), ("inf", "inf,0,1"))),
     _usage("check-no-source", "check", stderr="--model or --family-file"),
     _usage("ks-search-no-source", "ks-search", stderr="--model or --hypergraph"),
     # Neither file exists: the command line is refused before any read.
@@ -106,6 +139,19 @@ ROWS = (
 def loads_numpy(row: Row) -> bool:
     """Only ``simulate`` loads numpy, and not when its command line is refused."""
     return row.argv[:1] == ("simulate",) and row.code != 2
+
+
+def blocked(row: Row) -> tuple:
+    """The modules a run of ``row`` must never import. Shards run on threads
+    and the value types are plain classes; only ``ks-search`` decides
+    colorability. numpy imports ``secrets`` itself, so a run that loads numpy
+    cannot block it."""
+    names = ("multiprocessing", "concurrent.futures.process", "dataclasses")
+    if row.argv[:1] != ("ks-search",):
+        names += ("qcontext.ks",)
+    if not loads_numpy(row):
+        names += ("numpy", "secrets", "concurrent.futures")
+    return names
 
 
 def _config_dropped(text: str, keys) -> dict:
@@ -155,8 +201,11 @@ def run_probe(code: str, *args: str, cwd=None, stdin: str = "") -> subprocess.Co
 
 
 def run_console_script(row: Row, tmp_dir) -> list:
-    """Run ``row`` through the console-script body in a fresh interpreter."""
-    proc = run_probe(CONSOLE_SCRIPT, *row.argv, cwd=row.cwd or tmp_dir, stdin=row.stdin)
+    """Run ``row`` through the console-script body in a fresh interpreter
+    that first sets each of its blocked modules to None in ``sys.modules``."""
+    block = "".join(f"sys.modules[{name!r}] = None; " for name in blocked(row))
+    code = f"import sys; {block}{CONSOLE_SCRIPT}"
+    proc = run_probe(code, *row.argv, cwd=row.cwd or tmp_dir, stdin=row.stdin)
     return mismatches(row, proc.returncode, proc.stdout, proc.stderr)
 
 

@@ -232,3 +232,27 @@ def test_slots_hold_the_fields(case):
 )
 def test_pinned_repr(build, expected):
     assert repr(build()) == expected
+
+
+def test_family_elements_are_read_only():
+    # A lost element would leave the recorded incidence and the hash stale.
+    family = nakamura_family()
+    with pytest.raises(TypeError):
+        family.elements["A+"] = family.elements["B+"]
+    with pytest.raises(AttributeError):
+        family.elements.pop("A+")
+    loaded = pickle.loads(pickle.dumps(family))
+    assert loaded == family == nakamura_family()
+    assert hash(loaded) == hash(family) == hash(nakamura_family())
+    assert family.element_contexts("A+") == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "contexts,witness", [([("a", "b"), ("b", "c")], {"a": 0, "b": 1, "c": 0}), ([], {})],
+    ids=["two-contexts", "no-elements"],
+)
+def test_verdict_to_dict_copies_the_witness(contexts, witness):
+    verdict = enumerate_assignments(ContextHypergraph.from_contexts(contexts))
+    verdict.to_dict()["witness"]["a"] = 7
+    assert verdict.witness == witness
+    assert verdict.to_dict()["witness"] == witness
