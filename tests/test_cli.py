@@ -135,12 +135,8 @@ class TestKsSearch:
         monkeypatch.setattr("qcontext.ks.SEARCH_LIMIT", 1)
         path = tmp_path / "h.txt"
         path.write_text("a,b\nb,c\nc,a\n")
-        code = main(["ks-search", "--hypergraph", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("qcontext: error: search limit: ")
+        line = usage_error_line(capsys, "ks-search", "--hypergraph", str(path))
+        assert line.startswith("qcontext: error: search limit: ")
 
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "h.txt"
