@@ -93,7 +93,8 @@ def _context_index(model: str, context: int) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    # An empty path is refused as unwritable, not read as stdout.
+    if out is not None:
         try:
             Path(out).write_text(text)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path

@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from numbers import Number
-from types import MappingProxyType
 from typing import Sequence
 
 from .bloch import (
@@ -85,11 +84,10 @@ class PovmFamily(Frozen):
     __slots__ = (*_fields, "_incidence", "_pairs")
 
     def __init__(self, name: str, elements: dict[str, PovmElement], contexts: tuple[Context, ...]):
-        # A read-only view of a copy: neither the caller's dict nor the
-        # family's own can gain or lose an element behind the recorded
-        # incidence and move the hash. Contexts become tuples, so a family
-        # built from lists equals and hashes like one built from tuples.
-        elements = MappingProxyType(dict(elements))
+        # Frozen keeps a read-only copy of the elements, so no element can be
+        # gained or lost behind the recorded incidence. Contexts become
+        # tuples, so a family built from lists equals and hashes like one
+        # built from tuples.
         contexts = tuple(map(tuple, contexts))
         holders = {label: [] for label in elements}
         for index, context in enumerate(contexts):
@@ -102,15 +100,6 @@ class PovmFamily(Frozen):
         super().__init__(name, elements, contexts)
         object.__setattr__(self, "_incidence", {l: tuple(h) for l, h in holders.items()})
         object.__setattr__(self, "_pairs", {})
-
-    def __hash__(self) -> int:
-        # The field-wise hash would hash the elements mapping; a frozenset of its
-        # items agrees with ==, which compares dicts ignoring insertion order.
-        return hash((self.name, frozenset(self.elements.items()), self.contexts))
-
-    def __reduce__(self):
-        # A mappingproxy cannot be pickled; __init__ wraps the dict again.
-        return self.__class__, (self.name, dict(self.elements), self.contexts)
 
     def element_contexts(self, label: str) -> tuple[int, ...]:
         """Indices of the contexts containing the given element, ascending."""

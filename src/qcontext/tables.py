@@ -10,14 +10,18 @@ index argument, in the layers and the CLI's bounded flags, goes through
 ``check_int``; no other module tests for a bool or an exact int.
 
 Every layer's value types derive from ``Frozen``, which builds each of them
-from its one field list, ``_fields``. It is kept here because every layer
-can import this module at no cost: it imports only ``operator``, which
-``argparse``, ``json`` and ``fractions`` load anyway. A frozen dataclass
-would cost each process the import of the dataclass module (which imports
-``inspect``) and an ``exec`` of every generated method.
+from its one field list, ``_fields``, and holds every mapping field one way:
+as a read-only view of the value's own copy, hashed as its set of items. So
+every value type is immutable and hashable, and none writes its own hash or
+pickling. It is kept here because every layer can import this module at no
+cost: it imports only ``operator`` and ``types``, which ``argparse``,
+``json`` and ``fractions`` load anyway. A frozen dataclass would cost each
+process the import of the dataclass module (which imports ``inspect``) and
+an ``exec`` of every generated method.
 """
 
 from operator import attrgetter
+from types import MappingProxyType
 
 #: Letters per measurement, one row per context, for the 5x8 construction.
 CABELLO_CONTEXT_LETTERS = ("ACIJ", "ADGH", "BDFJ", "BEHI", "CEFG")
@@ -58,11 +62,31 @@ def check_int(name: str, value, low: int = 0, high: float = float("inf")) -> int
     return value
 
 
+#: The field types ``Frozen`` stores as a read-only view of its own copy.
+_MAPPINGS = (dict, MappingProxyType)
+
+
+def _hashable(value):
+    # A mapping hashes as its set of items, which agrees with ==: dicts
+    # compare ignoring insertion order.
+    return frozenset(value.items()) if value.__class__ is MappingProxyType else value
+
+
+def _picklable(value):
+    # A mappingproxy cannot be pickled; __init__ wraps the dict again.
+    return dict(value) if value.__class__ is MappingProxyType else value
+
+
 class Frozen:
     """An immutable record of the fields named in ``_fields``, built,
     compared, hashed, shown and pickled by their values in that order, as a
     frozen dataclass is: equal only to an instance of the same class, hashable
     when every field is, and ``AttributeError`` on any assignment or deletion.
+
+    A ``dict`` or ``MappingProxyType`` field is stored as a read-only view of
+    a copy, so neither the caller's dict nor the value's own view can change
+    the value after construction. It hashes as the frozenset of its items
+    and pickles as a dict; it shows as ``mappingproxy({...})``.
 
     ``_fields`` is the only place a subclass writes its field order, and its
     ``__slots__`` holds every field (plus ``__dict__`` where a
@@ -91,6 +115,8 @@ class Frozen:
         if named or len(values) != len(setters):
             values = self._bind(values, named)
         for set_field, value in zip(setters, values):
+            if isinstance(value, _MAPPINGS):
+                value = MappingProxyType(dict(value))
             set_field(self, value)
 
     def _bind(self, values, named):
@@ -108,7 +134,7 @@ class Frozen:
         return self._values(self) == other._values(other)
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash(tuple(map(_hashable, self._values(self))))
 
     def __repr__(self):
         fields = zip(self._fields, self._values(self))
@@ -123,4 +149,4 @@ class Frozen:
 
     def __reduce__(self):
         # Rebuilt through __init__, which re-validates; cached values are dropped.
-        return self.__class__, self._values(self)
+        return self.__class__, tuple(map(_picklable, self._values(self)))

@@ -338,16 +338,6 @@ class TestDilate:
         assert doc["reports"][0]["context"] == 2
 
 
-class TestAudit:
-    def test_nakamura_reports_mismatch(self, capsys):
-        code, doc = run_json(capsys, "audit", "--model", "nakamura")
-        assert code == 0
-        jsonschema.validate(doc, load_schema("audit"))
-        assert doc["mismatched"] >= 1
-        flagged = {e["label"] for e in doc["entries"] if not e["equal"]}
-        assert flagged == {"B+", "B-"}
-
-
 #: Runs ``python -m qcontext.cli ARGV`` in the probe process, then reports the
 #: exit code and whether numpy was loaded as the last stderr line.
 CLI_PROBE = """
@@ -516,26 +506,6 @@ class TestStartup:
 
 
 class TestFeasibility:
-    def test_nakamura_certificate(self, capsys):
-        code, doc = run_json(capsys, "feasibility", "--model", "nakamura")
-        assert code == 3
-        jsonschema.validate(doc, load_schema("certificate"))
-        assert doc["verdict"] == "contradiction"
-        confinements = [
-            s for s in doc["steps"] if s["rule"] == "confinement-from-completeness"
-        ]
-        assert "F3" in confinements[-1]["conclusion"]
-        assert "context 3" in confinements[-1]["conclusion"]
-
-    def test_cabello_certificate(self, capsys):
-        code, doc = run_json(capsys, "feasibility", "--model", "cabello")
-        assert code == 3
-        jsonschema.validate(doc, load_schema("certificate"))
-        confinements = [
-            s for s in doc["steps"] if s["rule"] == "confinement-from-completeness"
-        ]
-        assert "F3 + F4 + F5" in confinements[-1]["conclusion"]
-
     def test_no_rule_fired_is_undecided(self, capsys, monkeypatch):
         # One context shares no element with another, so no rule fires.
         monkeypatch.setattr("qcontext.cli._load_model", lambda name: nakamura_family().restrict([0]))
