@@ -93,7 +93,10 @@ def _context_index(model: str, context: int) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    # An empty path is refused as unwritable, not read as stdout.
+    # An empty path is refused before any write: it is not stdout, and Path("")
+    # is the directory ".", which the user never named.
+    if out == "":
+        raise UsageError("cannot write --out: empty path")
     if out is not None:
         try:
             Path(out).write_text(text)

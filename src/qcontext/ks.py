@@ -10,7 +10,8 @@ once and counting the nodes it expands. Its verdict carries the counting
 (parity) obstruction, read off the same incidences, that explains why the
 two measurement families admit none. The same search counts the consistent
 slot maps that dilation.count_consistent_slot_assignments reduces to a
-hypergraph.
+hypergraph. A hypergraph records the search's bit encoding when it is built,
+in the walk that validates its contexts, so the decider walks no label.
 """
 
 from __future__ import annotations
@@ -24,22 +25,41 @@ SEARCH_LIMIT = 200_000
 
 
 class ContextHypergraph(Frozen):
-    """Abstract element-context incidence structure, its fields kept as tuples."""
+    """Abstract element-context incidence structure, its fields kept as tuples.
 
-    __slots__ = _fields = ("elements", "contexts")
+    The walk that validates the contexts also records the decider's
+    encoding, which is not part of the value: each label's bit, bit (n-1-j)
+    for the j-th of the n labels in sorted order, so that integer order is
+    lexicographic order over assignments; one mask of element bits per
+    context; and, per element in some context, its bit's holder mask, the
+    mask of the contexts holding it. Labels that cannot be sorted raise
+    ``TypeError`` here.
+    """
+
+    _fields = ("elements", "contexts")
+    __slots__ = (*_fields, "_encoding")
 
     def __init__(self, elements: tuple[str, ...], contexts: tuple[tuple[str, ...], ...]):
         elements, contexts = tuple(elements), tuple(map(tuple, contexts))
-        pool = set(elements)
-        if len(pool) != len(elements):
+        if len(set(elements)) != len(elements):
             raise ValueError("duplicate element labels")
-        for context in contexts:
+        bit = dict(zip(sorted(elements), [1 << j for j in reversed(range(len(elements)))]))
+        masks = []
+        holders: dict[int, int] = {}  # element bit -> contexts holding it
+        for i, context in enumerate(contexts):
             if len(set(context)) != len(context):
                 raise ValueError(f"duplicate labels inside context {context!r}")
-            if not pool.issuperset(context):
-                unknown = [label for label in context if label not in pool]
-                raise ValueError(f"context references unknown labels {unknown!r}")
+            mask = 0
+            for label in context:
+                if label not in bit:
+                    unknown = [label for label in context if label not in bit]
+                    raise ValueError(f"context references unknown labels {unknown!r}")
+                b = bit[label]
+                mask |= b
+                holders[b] = holders.get(b, 0) | 1 << i
+            masks.append(mask)
         super().__init__(elements, contexts)
+        object.__setattr__(self, "_encoding", (bit, masks, holders))
 
     @classmethod
     def from_contexts(cls, contexts) -> "ContextHypergraph":
@@ -165,21 +185,9 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
     sorted order. ``workers`` is accepted for compatibility and has no
     effect. Raises ValueError when the search exceeds SEARCH_LIMIT nodes.
     """
-    n = len(h.elements)
-    # Bit (n-1-j) holds the j-th label in sorted order, so integer order is
-    # lexicographic order over assignments.
-    bit = dict(zip(sorted(h.elements), [1 << j for j in range(n - 1, -1, -1)]))
-    masks = []
-    holders: dict[int, int] = {}  # element bit -> contexts holding it
-    for i, context in enumerate(h.contexts):
-        mask = 0
-        for label in context:
-            b = bit[label]
-            mask |= b
-            holders[b] = holders.get(b, 0) | 1 << i
-        masks.append(mask)
+    bit, masks, holders = h._encoding
     covers, least, _ = _exact_covers(masks, holders)
-    free = n - len(holders)
+    free = len(bit) - len(holders)
     valid_count = covers << free
     witness = None
     if covers:
@@ -189,7 +197,7 @@ def enumerate_assignments(h: ContextHypergraph, workers: int = 1) -> Colorabilit
     parity = len(masks) % 2 and not free and all(m.bit_count() == 2 for m in holders.values())
 
     obstruction = ParityObstruction(len(masks), 2) if parity else None
-    return ColorabilityVerdict(valid_count > 0, valid_count, 1 << n, witness, obstruction)
+    return ColorabilityVerdict(valid_count > 0, valid_count, 1 << len(bit), witness, obstruction)
 
 
 def parse_hypergraph(text: str) -> ContextHypergraph:

@@ -1,16 +1,16 @@
 """The Cabello and Nakamura POVM families and Born-rule statistics.
 
-An element's projector and operator are kept as their four complex entries:
-``check_completeness`` sums the operators', and the Born rule reads the
-state's rows into entries and takes trace(state * operator) on them. The
-module loads no numpy; only ``hv`` imports it.
+An element's projector and operator are kept as their four complex entries,
+computed when the element is built: ``check_completeness`` sums the
+operators', and the Born rule reads the state's rows into entries and takes
+trace(state * operator) on them. The module loads no numpy; only ``hv``
+imports it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from numbers import Number
 from typing import Sequence
 
@@ -33,13 +33,12 @@ class PovmElement(Frozen):
 
     The weight lies in (0, 1]: w * P <= I holds for a rank-1 projector P only
     when w <= 1. ``projector_entries`` and ``entries``, the four complex
-    entries of the projector and of the operator, are computed on first use
-    and kept with the element.
+    entries of the projector and of the operator, are computed when the
+    element is built and kept in two slots beside its fields.
     """
 
     _fields = ("label", "weight", "direction")
-    # __dict__ holds the two cached properties.
-    __slots__ = (*_fields, "__dict__")
+    __slots__ = (*_fields, "projector_entries", "entries")
 
     def __init__(self, label: str, weight: Fraction, direction: BlochVector):
         # Written as negations so that a NaN weight fails the first test.
@@ -47,18 +46,14 @@ class PovmElement(Frozen):
             raise ValueError(f"element {label!r} must have positive weight")
         if not weight <= 1:
             raise ValueError(f"element {label!r} must have weight at most 1")
+        if not isinstance(direction, BlochVector):
+            raise ValueError(f"element {label!r} direction must be a BlochVector, "
+                             f"got {type(direction).__name__}")
         super().__init__(label, weight, direction)
-
-    @cached_property
-    def projector_entries(self) -> Entries:
-        """Row-major entries of (I + v.sigma)/2 for the element's direction."""
-        return projector_entries(self.direction)
-
-    @cached_property
-    def entries(self) -> Entries:
-        """Row-major entries of weight * (I + v.sigma)/2."""
-        weight = float(self.weight)
-        return tuple(_scaled(weight, entry) for entry in self.projector_entries)
+        # Row-major entries of (I + v.sigma)/2 and of weight * (I + v.sigma)/2.
+        projector, weight = projector_entries(direction), float(weight)
+        object.__setattr__(self, "projector_entries", projector)
+        object.__setattr__(self, "entries", tuple(_scaled(weight, e) for e in projector))
 
 
 def _scaled(w: float, z: complex) -> complex:

@@ -89,12 +89,13 @@ class Frozen:
     and pickles as a dict; it shows as ``mappingproxy({...})``.
 
     ``_fields`` is the only place a subclass writes its field order, and its
-    ``__slots__`` holds every field (plus ``__dict__`` where a
-    ``cached_property`` needs one). ``Frozen.__init__`` takes the fields
-    positionally or by name and stores them. A subclass that validates writes
-    an ``__init__`` whose parameters are ``_fields`` in order (``__reduce__``
-    rebuilds positionally), checks them, and ends in ``super().__init__``
-    with every field positional.
+    ``__slots__`` holds every field, so no value has a ``__dict__``.
+    ``Frozen.__init__`` takes the fields positionally or by name and stores
+    them. A subclass that validates writes an ``__init__`` whose parameters
+    are ``_fields`` in order (``__reduce__`` rebuilds positionally), checks
+    them, and ends in ``super().__init__`` with every field positional. What
+    it derives from the fields while it checks them it keeps in slots of its
+    own, set with ``object.__setattr__``; they are not part of the value.
     """
 
     __slots__ = ()
@@ -148,5 +149,5 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Rebuilt through __init__, which re-validates; cached values are dropped.
+        # Rebuilt through __init__, which re-validates and derives again.
         return self.__class__, tuple(map(_picklable, self._values(self)))

@@ -133,7 +133,8 @@ ROWS = (
            stderr="cannot write --out: "),
     _usage("out-is-dir", "family", "--model", "nakamura", "--out", ".",
            stderr="cannot write --out: "),
-    _usage("out-empty", "family", "--model", "nakamura", "--out", "", stderr="cannot write --out: "),
+    _usage("out-empty", "family", "--model", "nakamura", "--out", "",
+           stderr="cannot write --out: empty path"),
 )
 
 

@@ -71,21 +71,6 @@ def usage_error_line(capsys, *argv):
 
 
 class TestFamily:
-    def test_nakamura(self, capsys):
-        code, doc = run_json(capsys, "family", "--model", "nakamura")
-        assert code == 0
-        jsonschema.validate(doc, load_schema("family"))
-        assert len(doc["family"]["elements"]) == 6
-        assert len(doc["family"]["contexts"]) == 3
-        assert doc["config"]["command"] == "family"
-
-    def test_cabello(self, capsys):
-        code, doc = run_json(capsys, "family", "--model", "cabello")
-        assert code == 0
-        jsonschema.validate(doc, load_schema("family"))
-        assert len(doc["family"]["elements"]) == 20
-        assert len(doc["family"]["contexts"]) == 5
-
     def test_unknown_model_exits_2(self, capsys):
         usage_error_line(capsys, "family", "--model", "foo")
 
@@ -323,14 +308,6 @@ class TestUsageErrors:
 
 
 class TestDilate:
-    def test_all_contexts_pass(self, capsys):
-        code, doc = run_json(capsys, "dilate", "--model", "cabello")
-        assert code == 0
-        jsonschema.validate(doc, load_schema("dilation"))
-        assert doc["passed"] is True
-        assert len(doc["reports"]) == 5
-        assert all(r["max_residual"] <= 1e-12 for r in doc["reports"])
-
     def test_single_context(self, capsys):
         code, doc = run_json(capsys, "dilate", "--model", "nakamura", "--context", "2")
         assert code == 0

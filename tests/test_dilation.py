@@ -5,6 +5,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MemberDescriptorType
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestSequentialDilation:
         assert scheme.ancilla_dim == 2
         assert [label for label, _ in scheme.projectors] == ["A+", "A-", "B+", "B-"]
         assert [slot for _, (slot, _) in scheme.projectors] == [0, 0, 1, 1]
-        # V is the element's own cached projector, not a copy.
+        # V is the element's own projector_entries tuple, not a copy.
         for label, (_, v) in scheme.projectors:
             assert v is nakamura.elements[label].projector_entries
 
@@ -757,8 +758,10 @@ class TestElementOperators:
     def test_cached_read_only_and_bit_equal(self, family):
         for element in family.elements.values():
             fresh = PovmElement(element.label, element.weight, element.direction)
-            # Nothing is computed when the element is built.
-            assert not {"projector_entries", "entries"} & set(vars(fresh))
+            # Both are slots, so nothing computes them later: each is filled
+            # when the element is built, or reading it would raise.
+            for name in ("projector_entries", "entries"):
+                assert isinstance(getattr(PovmElement, name), MemberDescriptorType)
             # Kept as tuples of Python complex, which no caller can write to.
             for name, oracle in (
                 ("projector_entries", reference_projector(element.direction)),

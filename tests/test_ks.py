@@ -121,6 +121,57 @@ def peres():
     return ContextHypergraph.from_contexts([[label[v] for v in basis] for basis in bases])
 
 
+def golden_dot(u, v):
+    """u.v for vectors whose entries are a + b*phi written (a, b), phi the
+    golden ratio: exact, since phi^2 = phi + 1 and phi is irrational, so
+    u.v = 0 exactly when the result is (0, 0)."""
+    total_a = total_b = 0
+    for (a, b), (c, d) in zip(u, v):
+        total_a += a * c + b * d
+        total_b += a * d + b * c + b * d
+    return total_a, total_b
+
+
+@pytest.fixture(scope="module")
+def cell600():
+    """The 600-cell Kochen-Specker set in R^4 (Waegell and Aravind, J. Phys. A
+    43 (2010)): the 60 rays of the 120 unit quaternions, whose orthogonal
+    tetrads are its 75 bases. Coordinates are doubled, so they lie in
+    Z[phi]: (+-2,0,0,0) permuted, (+-1,+-1,+-1,+-1) and the even
+    permutations of (+-phi,+-1,+-1/phi,0), with 1/phi = phi - 1."""
+    zero, one, two, phi, inverse = (0, 0), (1, 0), (2, 0), (0, 1), (-1, 1)
+    seeds = [tuple(two if j == i else zero for j in range(4)) for i in range(4)]
+    seeds += [(one,) * 4, *(
+        tuple((phi, one, inverse, zero)[k] for k in perm)
+        for perm in itertools.permutations(range(4))
+        if sum(i > j for i, j in itertools.combinations(perm, 2)) % 2 == 0
+    )]
+    quaternions = {
+        tuple((s * a, s * b) for s, (a, b) in zip(signs, seed))
+        for seed in seeds for signs in itertools.product((1, -1), repeat=4)
+    }
+    assert len(quaternions) == 120
+    assert all(golden_dot(q, q) == (4, 0) for q in quaternions)
+    # A ray is q and -q; keep the lesser of the two.
+    rays = sorted({min(q, tuple((-a, -b) for a, b in q)) for q in quaternions})
+    assert len(rays) == 60
+    orthogonal = {u: {v for v in rays if golden_dot(u, v) == (0, 0)} for u in rays}
+    bases = [
+        (a, b, c, d)
+        for a in rays for b in sorted(orthogonal[a]) if b > a
+        for c in sorted(orthogonal[a] & orthogonal[b]) if c > b
+        for d in sorted(orthogonal[a] & orthogonal[b] & orthogonal[c]) if d > c
+    ]
+    assert len(bases) == 75
+    for basis in bases:
+        for u, v in itertools.combinations(basis, 2):
+            assert golden_dot(u, v) == (0, 0)
+    # Every ray lies in five bases, not two, so the parity rule does not apply.
+    assert all(sum(v in basis for basis in bases) == 5 for v in rays)
+    label = {v: f"q{i:02d}" for i, v in enumerate(rays)}
+    return ContextHypergraph.from_contexts([[label[v] for v in basis] for basis in bases])
+
+
 @pytest.fixture(scope="module")
 def ceg():
     """The CEG set as a hypergraph, after checking its closed-form structure."""
@@ -248,6 +299,15 @@ class TestEnumerate:
         assert verdict.valid_count == 0
         assert not verdict.colorable
         assert verdict.total_assignments == 1 << 24
+        assert verdict.witness is None
+        assert verdict.obstruction is None
+
+    def test_600_cell_not_colorable_without_parity(self, cell600):
+        # Decided within ks.SEARCH_LIMIT: the search refuses past it.
+        verdict = enumerate_assignments(cell600)
+        assert not verdict.colorable
+        assert verdict.valid_count == 0
+        assert verdict.total_assignments == 1 << 60
         assert verdict.witness is None
         assert verdict.obstruction is None
 
@@ -385,5 +445,19 @@ class TestHypergraphParsing:
         assert enumerate_assignments(from_lists) == enumerate_assignments(from_tuples)
 
     def test_unknown_labels_rejected_in_constructor(self):
-        with pytest.raises(ValueError, match="unknown"):
-            ContextHypergraph(elements=("a",), contexts=(("a", "b"),))
+        with pytest.raises(ValueError, match=r"^context references unknown labels \['y', 'z'\]$"):
+            ContextHypergraph(elements=("a",), contexts=(("a",), ("y", "a", "z")))
+
+    def test_duplicate_element_labels_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate element labels$"):
+            ContextHypergraph(elements=("a", "b", "a"), contexts=(("a", "b"),))
+
+    def test_repeat_reported_before_unknown_label(self):
+        # The unknown label comes first, but the repeat is what is reported.
+        with pytest.raises(ValueError, match=r"^duplicate labels inside context \('a', 'z', 'a'\)$"):
+            ContextHypergraph(elements=("a",), contexts=(("a", "z", "a"),))
+
+    def test_unsortable_labels_raise_where_built(self):
+        # The bit encoding orders the labels when the hypergraph is built.
+        with pytest.raises(TypeError):
+            ContextHypergraph(elements=("a", 1), contexts=(("a", 1),))

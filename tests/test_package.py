@@ -186,3 +186,34 @@ def test_only_tables_tests_for_bool_or_exact_int():
     assert offences == {("povm.py", "_is_finite_number")}
     # The rule itself is found where it lives.
     assert _int_rule_tests(SRC_DIR / "qcontext" / "tables.py") == ["check_int"]
+
+
+def _cached_property_uses(source: str) -> list[int]:
+    """The line of each name or attribute ``cached_property``, and of each
+    import of it, in the source."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named = any(alias.name == "cached_property" for alias in node.names)
+        else:
+            named = _is_name(node, "cached_property") or (
+                isinstance(node, ast.Attribute) and node.attr == "cached_property"
+            )
+        if named:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_cached_property():
+    # A value's derived data is computed where the value is built, into a
+    # slot, so no value type needs a __dict__ to cache into.
+    uses = {
+        path.name: lines
+        for path in sorted((SRC_DIR / "qcontext").glob("*.py"))
+        if (lines := _cached_property_uses(path.read_text()))
+    }
+    assert uses == {}
+    # The check finds each spelling.
+    probe = "from functools import cached_property\nimport functools\n@functools.cached_property\n"
+    assert _cached_property_uses(probe + "def f(): pass\n") == [1, 3]
+    assert _cached_property_uses("@cached_property\ndef f(): pass\n") == [1]

@@ -89,6 +89,13 @@ class TestStructure:
             PovmElement("A+", weight, BlochVector(0.0, 0.0, 1.0))
         assert PovmElement("A+", Fraction(1), BlochVector(0.0, 0.0, 1.0)).weight == 1
 
+    @pytest.mark.parametrize("direction", [(0.0, 0.0, 1.0), None], ids=["tuple", "none"])
+    def test_direction_not_a_bloch_vector_rejected(self, direction):
+        # Refused where the element is built, with one line naming it.
+        message = f"^element 'A\\+' direction must be a BlochVector, got {type(direction).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            PovmElement("A+", Fraction(1, 2), direction)
+
     def test_context_pairs_are_antipodal(self, nakamura, cabello):
         for family in (nakamura, cabello):
             for i in range(len(family.contexts)):
