@@ -92,11 +92,18 @@ def _context_index(model: str, context: int) -> int:
     return context - 1
 
 
-def _emit(text: str, out: str | None) -> None:
-    # An empty path is refused before any write: it is not stdout, and Path("")
-    # is the directory ".", which the user never named.
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an --out that is empty (Path("") is ".",
+    which the user never named), a directory, or in a missing directory."""
     if out == "":
         raise UsageError("cannot write --out: empty path")
+    if out is not None and Path(out).is_dir():
+        raise UsageError(f"cannot write --out: {out!r} is a directory")
+    if out is not None and not Path(out).parent.is_dir():
+        raise UsageError(f"cannot write --out: no directory {str(Path(out).parent)!r}")
+
+
+def _emit(text: str, out: str | None) -> None:
     if out is not None:
         try:
             Path(out).write_text(text)
@@ -347,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         return args.handler(args)
     except UsageError as exc:
         # Raw argv can reach the message (argparse's "unrecognized arguments").

@@ -103,8 +103,6 @@ def sequential_dilation(
     """
     pairs = family.context_pairs(context_index)
     n_slots = len(pairs)
-    if n_slots == 0:
-        raise ValueError(f"invalid context: context {context_index + 1} has no pairs to dilate")
     if slot_order is None:
         slot_order = tuple(range(n_slots))
     for pair_index in slot_order:
@@ -249,10 +247,10 @@ def count_consistent_slot_assignments(family: PovmFamily) -> int:
     as (A-, A+) names the same pair as one that lists (A+, A-).
 
     Such a map is an exact cover, counted by ks.enumerate_assignments: one
-    element "slot:key" per pair key and slot below its least context pair count,
-    one context per key (it takes one slot) and one per (context, slot) (its
-    pairs hold that slot once). Raises ValueError("search limit: ...") past
-    ks.SEARCH_LIMIT search nodes.
+    element "slot:key" per pair key and slot below N, the pair count of each
+    context holding it (each element weighs 1/N), one context per key (it
+    takes one slot) and one per (context, slot) (its pairs hold that slot
+    once). Raises ValueError("search limit: ...") past ks.SEARCH_LIMIT nodes.
     """
     from .ks import ContextHypergraph, enumerate_assignments
 
@@ -260,16 +258,9 @@ def count_consistent_slot_assignments(family: PovmFamily) -> int:
         [tuple(sorted(pair)) for pair in family.context_pairs(i)]
         for i in range(len(family.contexts))
     ]
-    limit: dict[tuple[str, str], int] = {}
-    for keys in context_keys:
-        for key in keys:
-            limit[key] = min(limit.get(key, len(keys)), len(keys))
-    covers = [[f"{slot}:{key}" for slot in range(n)] for key, n in limit.items()]
-    covers += [
-        [f"{slot}:{key}" for key in keys if slot < limit[key]]
-        for keys in context_keys
-        for slot in range(len(keys))
-    ]
+    slot_counts = {key: len(keys) for keys in context_keys for key in keys}
+    covers = [[f"{slot}:{key}" for slot in range(n)] for key, n in slot_counts.items()]
+    covers += [[f"{slot}:{key}" for key in keys] for keys in context_keys for slot in range(len(keys))]
     return enumerate_assignments(ContextHypergraph.from_contexts(covers)).valid_count
 
 

@@ -66,8 +66,6 @@ _BLOCK = 1 << 13
 #: Largest |z| of a passing simulation: the 5-sigma acceptance rule.
 Z_LIMIT = 5.0
 
-_VALID_SLOT_COUNTS = (2, 4)
-
 
 class HiddenVariable(Frozen):
     """One sample: ancilla value lam in {0..N-1} plus sphere vector m."""
@@ -262,18 +260,15 @@ def simulate_povm(
 ) -> SimulationReport:
     """Sample the two-stage model for one context and compare with Born values.
 
-    Each sample draws a hidden variable for the context's pair count; the
-    ancilla value selects the slot pair and the sphere rule on that pair's "+"
-    direction selects the sign. Counts merge over fixed-size shards, making
-    the report deterministic in (inputs, seed) for any worker count. The
-    model agrees with the Born rule when every |z| is at most ``Z_LIMIT``
-    (5 sigma); ``qcontext simulate`` exits 1 otherwise.
+    Each sample draws an ancilla value uniformly over the context's N >= 1
+    slot pairs (``PovmFamily.context_pairs`` raises unless each element
+    weighs 1/N), and the sphere rule on that pair's "+" direction selects
+    the sign. Counts merge over fixed-size shards, making the report
+    deterministic in (inputs, seed) for any worker count. The model agrees
+    with the Born rule when every |z| is at most ``Z_LIMIT`` (5 sigma);
+    ``qcontext simulate`` exits 1 otherwise.
     """
-    pairs = family.context_pairs(context_index)
-    if len(pairs) not in _VALID_SLOT_COUNTS:
-        raise ValueError(f"invalid context: {len(pairs)} pairs, expected one of {_VALID_SLOT_COUNTS}")
-
-    plus_dirs = [family.elements[plus].direction for plus, _ in pairs]
+    plus_dirs = [family.elements[plus].direction for plus, _ in family.context_pairs(context_index)]
     counts, boundary = _sample(plus_dirs, n, samples, seed, workers)
 
     labels = family.contexts[context_index]

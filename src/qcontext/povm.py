@@ -64,6 +64,23 @@ def _scaled(w: float, z: complex) -> complex:
     return complex(w * a if a else w * a - 0.0 * b, w * b if b else w * b + 0.0 * a)
 
 
+def _slot_pairs(index: int, context: Context, elements) -> tuple[tuple[str, str], ...] | str:
+    """Context ``index``'s (plus, minus) pairs, or the reason it has none."""
+    where = f"invalid context: context {index + 1}"
+    if len(context) % 2:
+        return f"{where} has an odd element count: {context!r}"
+    pairs = tuple(zip(context[::2], context[1::2]))
+    for plus, minus in pairs:
+        if abs(elements[plus].direction.dot(elements[minus].direction) + 1.0) > ATOL:
+            return f"{where}: {plus!r}/{minus!r} are not an antipodal pair"
+    if not pairs:
+        return f"{where} has no pairs"
+    for label in context:  # exactly 1/N: the ratio of a Fraction, int or float is exact
+        if (weight := elements[label].weight).as_integer_ratio() != (1, len(pairs)):
+            return f"{where}: element {label!r} has weight {weight}, not {Fraction(1, len(pairs))}"
+    return pairs
+
+
 class PovmFamily(Frozen):
     """A labeled element pool plus the contexts (measurements) drawing on it.
 
@@ -71,12 +88,16 @@ class PovmFamily(Frozen):
     element object, which is exactly the identification the dilation audit
     probes. The walk that validates the context labels also records each
     element's incidence, the ascending indices of the contexts holding it
-    (``()`` for an element in no context), which ``element_contexts`` looks
-    up; neither it nor the memo of ``context_pairs`` is part of the value.
+    (``()`` for an element in no context), for ``element_contexts``, and the
+    slot model, for ``context_pairs``; neither record is part of the value.
+    The slot model is the uniform ancilla: slot k of a context of N pairs
+    carries pair k with population 1/N. A family builds from any contexts; a
+    context that does not list antipodal pairs, plus first, of elements of
+    weight exactly 1/N records why instead, which the model's readers raise.
     """
 
     _fields = ("name", "elements", "contexts")
-    __slots__ = (*_fields, "_incidence", "_pairs")
+    __slots__ = (*_fields, "_incidence", "_slots")
 
     def __init__(self, name: str, elements: dict[str, PovmElement], contexts: tuple[Context, ...]):
         # Frozen keeps a read-only copy of the elements, so no element can be
@@ -85,6 +106,7 @@ class PovmFamily(Frozen):
         # built from tuples.
         contexts = tuple(map(tuple, contexts))
         holders = {label: [] for label in elements}
+        slots = []
         for index, context in enumerate(contexts):
             if len(set(context)) != len(context):
                 raise ValueError(f"duplicate labels inside context {context!r}")
@@ -92,9 +114,10 @@ class PovmFamily(Frozen):
                 if label not in elements:
                     raise KeyError(f"missing element: context references {label!r}")
                 holders[label].append(index)
+            slots.append(_slot_pairs(index, context, elements))
         super().__init__(name, elements, contexts)
         object.__setattr__(self, "_incidence", {l: tuple(h) for l, h in holders.items()})
-        object.__setattr__(self, "_pairs", {})
+        object.__setattr__(self, "_slots", tuple(slots))
 
     def element_contexts(self, label: str) -> tuple[int, ...]:
         """Indices of the contexts containing the given element, ascending."""
@@ -104,32 +127,14 @@ class PovmFamily(Frozen):
             raise KeyError(f"missing element: {label!r}") from None
 
     def context_pairs(self, context_index: int) -> tuple[tuple[str, str], ...]:
-        """Antipodal (plus, minus) label pairs of one context, in slot order.
-
-        Contexts list elements pairwise (X+, X-, Y+, Y-, ...); this validates
-        the pairing geometrically and is the slot convention shared by the
-        dilation builder and the hidden-variable sampler. A context's pairs
-        are validated on first use and kept in the family's memo; a context
-        that fails validation is never kept, so it raises on every call.
-        """
-        # Checked before the memo lookup: True would find context 2's entry.
+        """Antipodal (plus, minus) label pairs of one context, in slot order:
+        the slot model that dilation, sampling and slot maps share. A context
+        without slot pairs raises the ValueError recorded for it."""
         check_int("context index", context_index, 0, len(self.contexts) - 1)
-        if context_index in self._pairs:
-            return self._pairs[context_index]
-        context = self.contexts[context_index]
-        if len(context) % 2 != 0:
-            raise ValueError(f"invalid context: odd element count in {context!r}")
-        pairs = []
-        for k in range(0, len(context), 2):
-            plus, minus = context[k], context[k + 1]
-            dot = self.elements[plus].direction.dot(self.elements[minus].direction)
-            if abs(dot + 1.0) > ATOL:
-                raise ValueError(
-                    f"invalid context: {plus!r}/{minus!r} are not an antipodal pair"
-                )
-            pairs.append((plus, minus))
-        self._pairs[context_index] = tuple(pairs)
-        return self._pairs[context_index]
+        pairs = self._slots[context_index]
+        if isinstance(pairs, str):
+            raise ValueError(pairs)
+        return pairs
 
     def restrict(self, context_indices: Sequence[int]) -> "PovmFamily":
         """Sub-family keeping only the selected contexts and their elements."""

@@ -135,6 +135,10 @@ ROWS = (
            stderr="cannot write --out: "),
     _usage("out-empty", "family", "--model", "nakamura", "--out", "",
            stderr="cannot write --out: empty path"),
+    # Refused before any sampling: the run never imports numpy.
+    _usage("simulate-out-no-dir", "simulate", "--model", "cabello", "--context", "1",
+           "--samples", "4000000", "--seed", "1", "--out", "missing/out.json",
+           stderr="cannot write --out: no directory 'missing'"),
 )
 
 

@@ -15,6 +15,7 @@ from qcontext import (
     AuditEntry,
     DilationReport,
     DilationScheme,
+    HiddenVariable,
     PovmElement,
     born_probabilities,
     cabello_family,
@@ -22,13 +23,16 @@ from qcontext import (
     count_consistent_slot_assignments,
     extension_audit,
     nakamura_family,
+    noncontextual_value_map,
     one_to_one_feasibility,
     sequential_dilation,
+    simulate_povm,
     validate_certificate,
     verify_dilation,
 )
 from qcontext import ks
 from qcontext.bloch import BlochVector, projector_entries
+from qcontext.cli import main
 from qcontext.dilation import (
     RULE_CONFINEMENT,
     RULE_ORTHOGONALITY,
@@ -38,6 +42,7 @@ from qcontext.dilation import (
     element_atom,
     filler_atom,
 )
+from qcontext.hv import Z_LIMIT
 from qcontext.povm import PovmFamily
 
 from conftest import (
@@ -685,25 +690,25 @@ def _hand_built(contexts):
 
 
 # Built from cabello's antipodal pairs, with their counts worked by hand. Each
-# key's slot limit is the smallest pair count among its contexts, so unequal
-# counts restrict the slots, down to a context slot no key can take.
+# element weighs 1/4, so a context of another pair count has no slot pairs and
+# both counts refuse the family with its reason; so does one with no pairs.
 HAND_BUILT = {
-    "unequal-pair-counts": (4, (
+    "unequal-pair-counts": ("context 2: element 'A\\+' has weight 1/4, not 1/2", (
         ("A+", "A-", "C+", "C-", "I+", "I-", "J+", "J-"),
         ("A+", "A-", "D+", "D-"),
         ("C+", "C-", "D+", "D-", "G+", "G-"),
     )),
-    "unfillable-slot": (0, (
+    "unfillable-slot": ("context 1: element 'A\\+' has weight 1/4, not 1/3", (
         ("A+", "A-", "C+", "C-", "I+", "I-"),
         ("A+", "A-"),
         ("C+", "C-"),
     )),
-    "empty-context": (144, (
+    "empty-context": ("context 2 has no pairs", (
         ("A+", "A-", "C+", "C-", "I+", "I-", "J+", "J-"),
         (),
         ("A+", "A-", "D+", "D-", "G+", "G-", "H+", "H-"),
     )),
-    "only-empty-context": (1, ((),)),
+    "only-empty-context": ("context 1 has no pairs", ((),)),
     "one-context-two-orders": (24, (
         ("A+", "A-", "C+", "C-", "I+", "I-", "J+", "J-"),
         ("J+", "J-", "I+", "I-", "C+", "C-", "A+", "A-"),
@@ -733,8 +738,12 @@ class TestSlotCountMatchesReference:
     def test_hand_built(self, name):
         expected, contexts = HAND_BUILT[name]
         family = _hand_built(contexts)
-        assert _reference_count_consistent_slot_assignments(family) == expected
-        assert count_consistent_slot_assignments(family) == expected
+        for count in (_reference_count_consistent_slot_assignments, count_consistent_slot_assignments):
+            if isinstance(expected, int):
+                assert count(family) == expected
+            else:
+                with pytest.raises(ValueError, match=f"^invalid context: {expected}$"):
+                    count(family)
 
     @pytest.mark.parametrize(
         "family,expected",
@@ -1131,6 +1140,55 @@ class TestRegularGraphFamilies:
         else:
             validate_certificate(cert, family)
             assert [s for s in cert.steps if s.rule == RULE_CONFINEMENT][-1].conclusion == final
+
+
+#: A± of weight 2/3 along z and B± of 1/3 along x: complete in both of its
+#: contexts, with every element in two, but no context weighs its pairs 1/2.
+UNEQUAL = PovmFamily(
+    "unequal",
+    {
+        f"{letter}{sign}": PovmElement(f"{letter}{sign}", weight, BlochVector(*(s * c for c in axis)))
+        for letter, weight, axis in (("A", Fraction(2, 3), (0.0, 0.0, 1.0)),
+                                     ("B", Fraction(1, 3), (1.0, 0.0, 0.0)))
+        for sign, s in (("+", 1.0), ("-", -1.0))
+    },
+    (("A+", "A-", "B+", "B-"), ("B+", "B-", "A+", "A-")),
+)
+_N = BlochVector.normalized(0.6, 0.0, 0.8)
+
+
+class TestSlotModel:
+    """A context of N pairs dilates and samples on a uniform N-slot ancilla:
+    any N >= 1, and only when each of its elements weighs 1/N."""
+
+    def test_unequal_weights_pass_check(self, tmp_path, capsys):
+        path = tmp_path / "unequal.json"
+        path.write_text(json.dumps(UNEQUAL.to_dict()))
+        assert main(["check", "--family-file", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("reader", [
+        lambda f: sequential_dilation(f, 0),
+        lambda f: simulate_povm(f, 0, _N, 1000, seed=1),
+        count_consistent_slot_assignments,
+        lambda f: noncontextual_value_map(HiddenVariable(0, _N), f, _N),
+    ], ids=["sequential_dilation", "simulate_povm", "slot_count", "value_map"])
+    def test_unequal_weights_refused_by_slot_readers(self, reader):
+        message = "^invalid context: context 1: element 'A\\+' has weight 2/3, not 1/2$"
+        with pytest.raises(ValueError, match=message):
+            reader(UNEQUAL)
+
+    @pytest.mark.parametrize("family", [
+        _graph_family("K4", list(itertools.combinations(range(4), 2))),
+        _graph_family("K2", [(0, 1)]),
+    ], ids=lambda f: f.name)
+    def test_any_pair_count_dilates_and_simulates(self, family):
+        # K4's contexts hold 3 pairs of weight 1/3, K2's one pair of weight 1.
+        scheme = sequential_dilation(family, 0)
+        assert scheme.ancilla_dim == len(family.contexts[0]) // 2
+        assert verify_dilation(scheme, family, 0).passed()
+        report = simulate_povm(family, 0, _N, 200_000, seed=1)
+        assert max(map(abs, report.z_scores)) <= Z_LIMIT
 
 
 # --- rewriting a family: new labels, contexts in another order, each

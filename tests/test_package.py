@@ -217,3 +217,59 @@ def test_no_cached_property():
     probe = "from functools import cached_property\nimport functools\n@functools.cached_property\n"
     assert _cached_property_uses(probe + "def f(): pass\n") == [1, 3]
     assert _cached_property_uses("@cached_property\ndef f(): pass\n") == [1]
+
+
+def _stores_outside_init(source: str) -> list[tuple[str, int]]:
+    """(Class.method, line) of each store into ``self.<name>[...]`` and each
+    call of ``object.__setattr__(self, ...)`` in a method other than
+    ``__init__``."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                continue
+            for node in ast.walk(method):
+                item_store = (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Attribute)
+                    and _is_name(node.value.value, "self")
+                )
+                setattr_call = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"
+                    and _is_name(node.func.value, "object")
+                    and bool(node.args)
+                    and _is_name(node.args[0], "self")
+                )
+                if item_store or setattr_call:
+                    found.append((f"{cls.name}.{method.name}", node.lineno))
+    return sorted(found)
+
+
+def test_no_method_but_init_stores_into_its_value():
+    # Every value type is immutable after construction: what a value derives
+    # it records in __init__, so no later call writes into it, as a memo would.
+    stores = {
+        path.name: found
+        for path in sorted((SRC_DIR / "qcontext").glob("*.py"))
+        if (found := _stores_outside_init(path.read_text()))
+    }
+    assert stores == {}
+    # The check finds each spelling, and lets __init__ store.
+    probe = (
+        "class Family:\n"
+        "    def __init__(self):\n"
+        "        object.__setattr__(self, '_memo', {})\n"
+        "    def pairs(self, i):\n"
+        "        self._memo[i] = i\n"
+        "        self._memo[i], self._memo[-i] = i, i\n"
+        "        self._memo[i] += 1\n"
+        "        del self._memo[i]\n"
+        "        object.__setattr__(self, '_last', i)\n"
+    )
+    assert [line for _, line in _stores_outside_init(probe)] == [5, 6, 6, 7, 8, 9]
+    assert {name for name, _ in _stores_outside_init(probe)} == {"Family.pairs"}

@@ -114,26 +114,32 @@ class TestStructure:
             shuffled.context_pairs(0)
 
     def test_context_pairs_kept_and_failures_repeat(self, nakamura):
-        # A valid context's pairs are validated once and kept with the family;
-        # an invalid index, an odd context or a non-antipodal pair raises on
-        # every call, not only the first.
+        # A valid context's pairs are recorded once, when the family is built;
+        # an invalid index, an odd context, a non-antipodal pair, a weight
+        # other than 1/N (nakamura's 1/2 in a one-pair context) and an empty
+        # context each raise on every call, not only the first.
         family = PovmFamily(
             name="mixed",
             elements=dict(nakamura.elements),
-            contexts=(("A+", "A-", "B+", "B-"), ("A+", "B+", "A-", "B-"), ("A+", "A-", "B+")),
+            contexts=(("A+", "A-", "B+", "B-"), ("A+", "B+", "A-", "B-"), ("A+", "A-", "B+"),
+                      ("C+", "C-"), ()),
         )
         first = family.context_pairs(0)
         assert first == (("A+", "A-"), ("B+", "B-"))
+        failures = {
+            1: "context 2: 'A\\+'/'B\\+' are not an antipodal pair",
+            2: "context 3 has an odd element count",
+            3: "context 4: element 'C\\+' has weight 1/2, not 1$",
+            4: "context 5 has no pairs",
+        }
         for _ in range(3):
             assert family.context_pairs(0) is first
-            # True would find context 2's memo entry.
-            for index in (-1, 3, True, np.int64(1), 1.0):
-                with pytest.raises(ValueError, match="context index must be (an int|>= 0|<= 2)"):
+            for index in (-1, 5, True, np.int64(1), 1.0):
+                with pytest.raises(ValueError, match="context index must be (an int|>= 0|<= 4)"):
                     family.context_pairs(index)
-            with pytest.raises(ValueError, match="antipodal"):
-                family.context_pairs(1)
-            with pytest.raises(ValueError, match="odd element count"):
-                family.context_pairs(2)
+            for index, reason in failures.items():
+                with pytest.raises(ValueError, match=f"^invalid context: {reason}"):
+                    family.context_pairs(index)
         # The kept pairs are not part of the family's value.
         fresh = PovmFamily(family.name, family.elements, family.contexts)
         assert family == fresh and hash(family) == hash(fresh)
