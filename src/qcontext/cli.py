@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -92,15 +93,16 @@ def _context_index(model: str, context: int) -> int:
     return context - 1
 
 
-def _check_out(out: str | None) -> None:
-    """Refuse, before any work, an --out that is empty (Path("") is ".",
-    which the user never named), a directory, or in a missing directory."""
+def _out_path(out: str) -> str:
+    """An argparse type: refuse an empty --out (Path("") is "."), a directory
+    or a path in a missing directory. isdir reads any error as False."""
     if out == "":
         raise UsageError("cannot write --out: empty path")
-    if out is not None and Path(out).is_dir():
+    if os.path.isdir(out):
         raise UsageError(f"cannot write --out: {out!r} is a directory")
-    if out is not None and not Path(out).parent.is_dir():
-        raise UsageError(f"cannot write --out: no directory {str(Path(out).parent)!r}")
+    if not os.path.isdir(parent := os.path.dirname(out) or "."):
+        raise UsageError(f"cannot write --out: no directory {parent!r}")
+    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -295,7 +297,7 @@ def _add_common(parser, model_required=True, formats=("json",), workers_help=Non
         help="built-in measurement family",
     )
     parser.add_argument("--format", choices=formats, default="json")
-    parser.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
+    parser.add_argument("--out", metavar="PATH", type=_out_path, help="write output to PATH")
     if workers_help:
         parser.add_argument(
             "--workers", type=_bounded_int("workers", 1), default=1, help=workers_help
@@ -354,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_out(args.out)
         return args.handler(args)
     except UsageError as exc:
         # Raw argv can reach the message (argparse's "unrecognized arguments").

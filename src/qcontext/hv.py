@@ -261,12 +261,11 @@ def simulate_povm(
     """Sample the two-stage model for one context and compare with Born values.
 
     Each sample draws an ancilla value uniformly over the context's N >= 1
-    slot pairs (``PovmFamily.context_pairs`` raises unless each element
-    weighs 1/N), and the sphere rule on that pair's "+" direction selects
-    the sign. Counts merge over fixed-size shards, making the report
-    deterministic in (inputs, seed) for any worker count. The model agrees
-    with the Born rule when every |z| is at most ``Z_LIMIT`` (5 sigma);
-    ``qcontext simulate`` exits 1 otherwise.
+    slot pairs, and the sphere rule on that pair's "+" direction selects the
+    sign; a context without slot pairs of weight 1/N raises ValueError.
+    Counts merge over fixed-size shards, so the report is deterministic in
+    (inputs, seed) for any worker count. Every |z| at most ``Z_LIMIT``
+    (5 sigma) means agreement with Born; ``qcontext simulate`` exits 1 otherwise.
     """
     plus_dirs = [family.elements[plus].direction for plus, _ in family.context_pairs(context_index)]
     counts, boundary = _sample(plus_dirs, n, samples, seed, workers)

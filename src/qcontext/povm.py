@@ -75,8 +75,8 @@ def _slot_pairs(index: int, context: Context, elements) -> tuple[tuple[str, str]
             return f"{where}: {plus!r}/{minus!r} are not an antipodal pair"
     if not pairs:
         return f"{where} has no pairs"
-    for label in context:  # exactly 1/N: the ratio of a Fraction, int or float is exact
-        if (weight := elements[label].weight).as_integer_ratio() != (1, len(pairs)):
+    for label in context:
+        if (weight := elements[label].weight) * len(pairs) != 1:
             return f"{where}: element {label!r} has weight {weight}, not {Fraction(1, len(pairs))}"
     return pairs
 
@@ -93,7 +93,7 @@ class PovmFamily(Frozen):
     The slot model is the uniform ancilla: slot k of a context of N pairs
     carries pair k with population 1/N. A family builds from any contexts; a
     context that does not list antipodal pairs, plus first, of elements of
-    weight exactly 1/N records why instead, which the model's readers raise.
+    weight 1/N (``weight * N == 1``) records why, which its readers raise.
     """
 
     _fields = ("name", "elements", "contexts")

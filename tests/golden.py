@@ -135,6 +135,9 @@ ROWS = (
            stderr="cannot write --out: "),
     _usage("out-empty", "family", "--model", "nakamura", "--out", "",
            stderr="cannot write --out: empty path"),
+    # A name longer than any file system allows fails only when written.
+    _usage("out-name-too-long", "family", "--model", "nakamura", "--out", "x" * 300,
+           stderr="cannot write --out: "),
     # Refused before any sampling: the run never imports numpy.
     _usage("simulate-out-no-dir", "simulate", "--model", "cabello", "--context", "1",
            "--samples", "4000000", "--seed", "1", "--out", "missing/out.json",

@@ -1190,6 +1190,25 @@ class TestSlotModel:
         report = simulate_povm(family, 0, _N, 200_000, seed=1)
         assert max(map(abs, report.z_scores)) <= Z_LIMIT
 
+    @pytest.mark.parametrize("family", [
+        _graph_family("K4", list(itertools.combinations(range(4), 2))),
+        _graph_family("K6", list(itertools.combinations(range(6), 2))),
+    ], ids=lambda f: f.name)
+    def test_float_weights_of_one_over_n_are_slot_weights(self, family):
+        # The rule is weight * N == 1, which the floats 1/3 (N=3) and 0.2
+        # (N=5) meet, and 0.3 meets for neither (0.3 * 3 is 0.8999999999999999).
+        def rebuilt(weight):
+            elements = {l: PovmElement(l, weight, e.direction) for l, e in family.elements.items()}
+            return PovmFamily(family.name, elements, family.contexts)
+
+        n = len(family.contexts[0]) // 2
+        floats = rebuilt(1 / n)
+        assert verify_dilation(sequential_dilation(floats, 0), floats, 0).passed()
+        report = simulate_povm(floats, 0, _N, 200_000, seed=1)
+        assert max(map(abs, report.z_scores)) <= Z_LIMIT
+        with pytest.raises(ValueError, match=f"^invalid context: context 1: .* not 1/{n}$"):
+            sequential_dilation(rebuilt(0.3), 0)
+
 
 # --- rewriting a family: new labels, contexts in another order, each
 # context's pairs in another order and any pair listed (minus, plus). The

@@ -219,10 +219,17 @@ def test_no_cached_property():
     assert _cached_property_uses("@cached_property\ndef f(): pass\n") == [1]
 
 
+#: The methods by which a dict, list or set changes in place.
+_MUTATORS = frozenset({
+    "__setitem__", "__delitem__", "setdefault", "update", "pop", "popitem", "clear",
+    "append", "extend", "insert", "remove", "sort", "reverse", "add", "discard",
+})
+
+
 def _stores_outside_init(source: str) -> list[tuple[str, int]]:
-    """(Class.method, line) of each store into ``self.<name>[...]`` and each
-    call of ``object.__setattr__(self, ...)`` in a method other than
-    ``__init__``."""
+    """(Class.method, line) of each store into ``self.<name>[...]``, each call
+    of a mutating method on ``self.<name>`` and each call of
+    ``object.__setattr__(self, ...)`` in a method other than ``__init__``."""
     found = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
@@ -237,6 +244,13 @@ def _stores_outside_init(source: str) -> list[tuple[str, int]]:
                     and isinstance(node.value, ast.Attribute)
                     and _is_name(node.value.value, "self")
                 )
+                mutator_call = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS
+                    and isinstance(node.func.value, ast.Attribute)
+                    and _is_name(node.func.value.value, "self")
+                )
                 setattr_call = (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -245,7 +259,7 @@ def _stores_outside_init(source: str) -> list[tuple[str, int]]:
                     and bool(node.args)
                     and _is_name(node.args[0], "self")
                 )
-                if item_store or setattr_call:
+                if item_store or mutator_call or setattr_call:
                     found.append((f"{cls.name}.{method.name}", node.lineno))
     return sorted(found)
 
@@ -270,6 +284,12 @@ def test_no_method_but_init_stores_into_its_value():
         "        self._memo[i] += 1\n"
         "        del self._memo[i]\n"
         "        object.__setattr__(self, '_last', i)\n"
+        "        self._memo.setdefault(i, i)\n"
+        "        self._memo.update({i: i})\n"
+        "        self._seen.append(i)\n"
+        "        self._memo.pop(i)\n"
+        "        self._memo.clear()\n"
+        "        self._memo.get(i)\n"
     )
-    assert [line for _, line in _stores_outside_init(probe)] == [5, 6, 6, 7, 8, 9]
+    assert [line for _, line in _stores_outside_init(probe)] == [5, 6, 6, 7, 8, 9, 10, 11, 12, 13, 14]
     assert {name for name, _ in _stores_outside_init(probe)} == {"Family.pairs"}
