@@ -73,11 +73,11 @@ def _slot_pairs(index: int, context: Context, elements) -> tuple[tuple[str, str]
     for plus, minus in pairs:
         if abs(elements[plus].direction.dot(elements[minus].direction) + 1.0) > ATOL:
             return f"{where}: {plus!r}/{minus!r} are not an antipodal pair"
-    if not pairs:
+    if not (n := len(pairs)):
         return f"{where} has no pairs"
-    for label in context:
-        if (weight := elements[label].weight) * len(pairs) != 1:
-            return f"{where}: element {label!r} has weight {weight}, not {Fraction(1, len(pairs))}"
+    for label in context:  # weight * N == 1; a Fraction 1/N passes on its ratio, unmultiplied
+        if (weight := elements[label].weight).as_integer_ratio() != (1, n) and weight * n != 1:
+            return f"{where}: element {label!r} has weight {weight}, not {Fraction(1, n)}"
     return pairs
 
 
